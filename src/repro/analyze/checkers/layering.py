@@ -8,13 +8,13 @@ measures it.
 
 ``L002`` bans module-level imports of the cross-cutting tooling
 packages (observability / faults / sanitize) from hot-path packages.
-The *only* sanctioned pattern is the guarded zero-overhead hook::
+Hot code reaches those subsystems only through the probe bus
+(:mod:`repro.probe`, a leaf below the machine layer)::
 
-    if FAULTS.active is not None:
-        FAULTS.arrive("kernel.mmap_bind", ...)
+    if PROBES.on:
+        PROBES.fire("kernel.mmap_bind", ...)
 
-and each such hook import must be a baselined, justified exception —
-which is exactly what keeps reviewers looking at every new one.
+so the hot packages carry no L002 baseline entries at all.
 
 Function-level imports are exempt from both rules: they are the
 standard cycle-avoidance idiom (``faults.plan`` building layer-matched
@@ -70,8 +70,8 @@ class LayeringChecker(Checker):
                 return ctx.finding(
                     "L002", node,
                     f"hot-path module {source} imports cross-cutting "
-                    f"{target} at module level; only baselined "
-                    f"zero-overhead hooks may do this",
+                    f"{target} at module level; announce the site on "
+                    f"the probe bus (repro.probe) instead",
                     token=f"import:{target}")
             return None  # cold layers may use tooling freely
         source_rank = config.rank_of(source)

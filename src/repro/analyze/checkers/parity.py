@@ -1,6 +1,6 @@
 """Engine API-parity checker (P001, P002) — interprocedural.
 
-The four access engines (perline, batched, columnar, jit) are
+The three access engines (perline, batched, columnar) are
 substitutable behind the engine registry, and the differential fuzzer
 drives any pair against each other.  That only works while their
 cache/core classes expose the same public surface: a method added to

@@ -11,8 +11,8 @@ object graph mutated outside the owner's methods.
 ``RC01`` flags writes to ``obj._attr`` in hot-path packages where
 ``obj`` is neither ``self``/``cls`` (nor a tracked self-alias), unless
 the enclosing function is declared in ``engine-functions`` — the
-allowlist that *is* the ownership protocol, kept in ``pyproject.toml``
-where a reviewer sees every extension.
+allowlist that *is* the ownership protocol, kept in
+:mod:`repro.analyze.config` where a reviewer sees every extension.
 """
 
 from __future__ import annotations

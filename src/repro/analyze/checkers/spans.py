@@ -1,21 +1,22 @@
 """Span-balance checker (S001, S002).
 
-The tracer's hierarchical spans (``frame = TRACER.push(name)`` /
-``TRACER.pop(frame)``) only unwind correctly when the pop runs on
+Hierarchical spans (``frame = PROBES.push(name)`` /
+``PROBES.pop(frame)`` at the probe sites, or ``TRACER.push``/``pop``
+in harness and serve code) only unwind correctly when the pop runs on
 *every* exit path — PR 6's fault-mid-span bug was exactly a push whose
 pop was skipped by an exception.  The tracer tolerates a missed pop at
 the next push (idempotent recovery), but the span tree it emits is then
 wrong, and trace-diff gates compare that tree.
 
-``S001`` — a frame assigned from ``TRACER.push(...)`` must be popped in
-exception-safe form: a ``TRACER.pop(frame)`` inside a ``finally`` block
+``S001`` — a frame assigned from a ``push(...)`` must be popped in
+exception-safe form: a ``pop(frame)`` inside a ``finally`` block
 (or the equivalent ``with TRACER.span(...)`` context manager), or the
 platform's unwind idiom — a pop inside a catch-all ``except`` handler
 *plus* a normal-path pop.  A straight-line ``push ... pop`` with no
 try/finally leaks the span on any exception in between.
 
-``S002`` — a bare ``TRACER.push(...)`` expression discards the frame,
-so nothing can ever pop it.
+``S002`` — a bare ``push(...)`` expression discards the frame, so
+nothing can ever pop it.
 
 Frames stored on ``self`` (cross-method spans) are exempt: their
 balance is a lifecycle property this per-function analysis cannot see.
@@ -30,17 +31,25 @@ from typing import List, Optional
 from repro.analyze.engine import Checker, Finding, ScopeContext
 
 
-def _is_tracer_call(ctx: ScopeContext, call: ast.Call,
-                    method: str) -> bool:
+#: Objects whose ``push``/``pop`` form the span API.
+_SPAN_ROOTS = ("PROBES", "TRACER")
+
+
+def _span_root(ctx: ScopeContext, call: ast.Call,
+               method: str) -> Optional[str]:
+    """``"PROBES"``/``"TRACER"`` if ``call`` is that object's ``method``."""
     dotted = ctx.module.dotted_name(call.func)
     if dotted is None:
-        return False
-    suffix = f"TRACER.{method}"
-    return dotted == suffix or dotted.endswith("." + suffix)
+        return None
+    for root in _SPAN_ROOTS:
+        suffix = f"{root}.{method}"
+        if dotted == suffix or dotted.endswith("." + suffix):
+            return root
+    return None
 
 
 def _push_call(ctx: ScopeContext, value: ast.AST) -> Optional[ast.Call]:
-    """The ``TRACER.push`` call inside ``value``, if it is one.
+    """The span ``push`` call inside ``value``, if it is one.
 
     Handles the conditional form ``TRACER.push(...) if tracing else
     None`` used by the serve layer.
@@ -51,7 +60,7 @@ def _push_call(ctx: ScopeContext, value: ast.AST) -> Optional[ast.Call]:
             if found is not None:
                 return found
         return None
-    if isinstance(value, ast.Call) and _is_tracer_call(ctx, value, "push"):
+    if isinstance(value, ast.Call) and _span_root(ctx, value, "push"):
         return value
     return None
 
@@ -81,10 +90,10 @@ def _is_catchall(handler: ast.ExceptHandler) -> bool:
 class SpanBalanceChecker(Checker):
     name = "spans"
     rules = {
-        "S001": "TRACER.push frame not popped on all exits "
+        "S001": "span push frame not popped on all exits "
                 "(needs try/finally, TRACER.span, or an "
                 "except-all unwind plus a normal-path pop)",
-        "S002": "TRACER.push result discarded — the span can never "
+        "S002": "span push result discarded — the span can never "
                 "be popped",
     }
 
@@ -120,11 +129,12 @@ class SpanBalanceChecker(Checker):
         for call, assigned in pushes:
             label = _span_label(call) or assigned or "span"
             token = f"{qualname}:{label}"
+            root = _span_root(ctx, call, "push")
             if assigned is None:
                 findings.append(finding(
                     "S002", call,
-                    f"TRACER.push('{label}') result discarded; assign "
-                    f"the frame and pop it, or use TRACER.span",
+                    f"{root}.push('{label}') result discarded; assign "
+                    f"the frame and pop it in a finally block",
                     token=token))
                 continue
             matching = [p for p in pops if p.arg == assigned]
@@ -137,8 +147,7 @@ class SpanBalanceChecker(Checker):
             findings.append(finding(
                 "S001", call,
                 f"span '{label}' pushed here is not popped on all "
-                f"exits; pop '{assigned}' in a finally block or use "
-                f"'with TRACER.span(...)'",
+                f"exits; pop '{assigned}' in a finally block",
                 token=token))
         return findings or None
 
@@ -202,7 +211,7 @@ class SpanBalanceChecker(Checker):
                      in_finally: bool, in_catchall: bool) -> None:
         for node in ast.walk(root):
             if isinstance(node, ast.Call) and \
-                    _is_tracer_call(ctx, node, "pop") and node.args \
+                    _span_root(ctx, node, "pop") and node.args \
                     and isinstance(node.args[0], ast.Name):
                 pops.append(_Pop(arg=node.args[0].id,
                                  in_finally=in_finally,

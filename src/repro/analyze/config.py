@@ -1,11 +1,9 @@
-"""Configuration for ``repro lint``: built-in policy + pyproject overrides.
+"""Configuration for ``repro lint``: the built-in policy.
 
-The built-in defaults below *are* the repo's policy — the committed
-``[tool.repro-lint]`` block in ``pyproject.toml`` mirrors them so
-contributors can see and extend the policy without reading this file.
-TOML parsing needs :mod:`tomllib` (Python 3.11+); on older interpreters
-the built-in defaults are used as-is, which keeps the linter runnable
-everywhere the emulator runs.
+The defaults below *are* the repo's policy — there is no second copy
+to keep in sync (a TOML mirror would need :mod:`tomllib`, which the
+3.9/3.10 interpreters the package supports do not have).  Tests and
+callers tweak a :class:`LintConfig` instance directly.
 
 Policy pieces:
 
@@ -14,8 +12,8 @@ Policy pieces:
   decides a module's rank.
 * **crosscutting / hot** — the observability/faults/sanitize packages
   may be imported from anywhere *except* the hot packages (``L002``);
-  inside hot packages every such import must be a baselined, justified
-  zero-overhead hook.
+  hot packages reach those subsystems only through the probe bus
+  (:mod:`repro.probe`), which is not cross-cutting.
 * **counters** — registered counter attribute -> owning class names.
   Augmented/plain assignment to a registered counter outside its owning
   class must come from a declared mutator (``C001``).
@@ -23,8 +21,6 @@ Policy pieces:
   mutate foreign counters (the batched engine's fused loops).
 * **engine_functions** — functions allowed to reach into another
   object's private attributes (``RC01``'s ownership protocol).
-* **hook_sites** — state-mutating operations that must carry their
-  FAULTS / SANITIZE hook pair (``H001``).
 * **async_packages** — packages whose ``async def`` bodies must never
   (transitively) reach blocking calls (``A001``/``A002``).
 * **parity_groups** — named groups of engine classes whose public
@@ -34,18 +30,15 @@ Policy pieces:
   tests is a flakiness source).
 * **exclude** — path prefixes dropped from the *test_paths* sweep
   (the planted lint fixtures are deliberate violations).
+
+The probe sites rule ``H001`` checks are not policy: they live in
+:data:`repro.probe.SITES`, next to the bus the sites fire into.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, List, Optional, Tuple
-
-try:  # Python 3.11+
-    import tomllib
-except ImportError:  # pragma: no cover - 3.9/3.10 fallback
-    tomllib = None  # type: ignore[assignment]
 
 
 #: Import-DAG ranks (longest prefix wins).  machine < kernel < runtime
@@ -54,6 +47,7 @@ DEFAULT_LAYERS: Dict[str, int] = {
     "repro": 70,              # cli, __init__, __main__
     "repro.analyze": 70,
     "repro.config": 0,
+    "repro.probe": 1,
     "repro.observability": 5,
     "repro.faults": 8,
     "repro.machine": 10,
@@ -131,37 +125,6 @@ DEFAULT_ENGINE_FUNCTIONS: Tuple[str, ...] = (
     "repro.machine.numa::CorePath.access_run",
 )
 
-#: State-mutating operations that must carry their hook pair.
-#: Each entry: (module, qualname, required hook kinds).
-DEFAULT_HOOK_SITES: Tuple[Tuple[str, str, Tuple[str, ...]], ...] = (
-    ("repro.kernel.vm", "Kernel.mmap_bind", ("faults", "sanitize", "trace")),
-    ("repro.kernel.vm", "Kernel.munmap", ("faults", "sanitize")),
-    ("repro.kernel.vm", "Kernel.migrate_page",
-     ("faults", "sanitize", "trace")),
-    ("repro.kernel.vm", "Kernel.placement_tick", ("sanitize",)),
-    ("repro.kernel.vm", "Kernel.reclaim_process", ("faults", "sanitize")),
-    ("repro.runtime.heap", "HybridHeap.may_commit", ("faults",)),
-    ("repro.runtime.heap", "HybridHeap.note_chunk_acquired", ("sanitize",)),
-    ("repro.runtime.jvm", "JavaVM.minor_collect",
-     ("faults", "sanitize", "trace")),
-    ("repro.runtime.jvm", "JavaVM.full_collect",
-     ("faults", "sanitize", "trace")),
-    ("repro.machine.numa", "NumaMachine.flush_all",
-     ("faults", "sanitize", "trace")),
-    ("repro.machine.colengine", "ColumnarCorePath.flush_pending",
-     ("faults",)),
-    ("repro.core.collectors.base", "Collector.minor_collect", ("trace",)),
-    ("repro.core.collectors.base", "Collector.mark_and_sweep", ("trace",)),
-    ("repro.core.monitor", "WriteRateMonitor.sample", ("faults", "trace")),
-    ("repro.core.platform", "HybridMemoryPlatform.run",
-     ("sanitize", "trace")),
-    # Service layer: the three places a fault can lose or corrupt an
-    # accepted job — admission, dispatch, result persistence.
-    ("repro.serve.app", "ServeApp.admit", ("faults", "trace")),
-    ("repro.serve.app", "ServeApp.dispatch", ("faults", "trace")),
-    ("repro.serve.jobstore", "JobStore.store_result", ("faults",)),
-)
-
 #: Packages whose coroutines run on the serve event loop: blocking
 #: calls reachable from an ``async def`` here stall every in-flight
 #: request (PR 8's phantom-SIGTERM bug came from exactly this class of
@@ -170,7 +133,7 @@ DEFAULT_ASYNC_PACKAGES: Tuple[str, ...] = ("repro.serve",)
 
 #: Engine API-parity groups: each group names classes (by
 #: ``module::QualName``) whose *public* method names and arities must
-#: match, so the perline/batched/columnar/jit engines cannot drift as
+#: match, so the perline/batched/columnar engines cannot drift as
 #: new engines land.  CacheStats is the shared stats struct and the
 #: perline CacheLevel is the reference; ColumnarCacheLevel overrides
 #: its whole surface.  CorePath (perline+batched fused loops) pairs
@@ -218,9 +181,6 @@ class LintConfig:
         default_factory=lambda: list(DEFAULT_COUNTER_MUTATORS))
     engine_functions: List[str] = field(
         default_factory=lambda: list(DEFAULT_ENGINE_FUNCTIONS))
-    hook_sites: List[Tuple[str, str, Tuple[str, ...]]] = field(
-        default_factory=lambda: [(m, q, tuple(h))
-                                 for m, q, h in DEFAULT_HOOK_SITES])
     async_packages: List[str] = field(
         default_factory=lambda: list(DEFAULT_ASYNC_PACKAGES))
     parity_groups: Dict[str, List[str]] = field(
@@ -265,76 +225,3 @@ class LintConfig:
 
     def is_async_package(self, module: str) -> bool:
         return self._matches_any(module, self.async_packages)
-
-
-def load_config(pyproject: Optional[Path] = None) -> LintConfig:
-    """Build the effective config, merging ``[tool.repro-lint]``.
-
-    Missing file, missing table, or a pre-3.11 interpreter all fall
-    back to the built-in defaults (which the committed pyproject block
-    mirrors, so behaviour only drifts if someone edits one of the two —
-    ``tests/analyze`` pins them together).
-    """
-    config = LintConfig()
-    if pyproject is None:
-        pyproject = Path("pyproject.toml")
-    if tomllib is None or not pyproject.is_file():
-        return config
-    try:
-        with open(pyproject, "rb") as handle:
-            data = tomllib.load(handle)
-    except (OSError, tomllib.TOMLDecodeError):
-        return config
-    table = data.get("tool", {}).get("repro-lint")
-    if not isinstance(table, dict):
-        return config
-    return merge_table(config, table)
-
-
-def merge_table(config: LintConfig, table: Dict[str, object]) -> LintConfig:
-    """Overlay one pyproject table onto ``config`` (shared with tests)."""
-    def str_list(key: str) -> Optional[List[str]]:
-        value = table.get(key)
-        if isinstance(value, list):
-            return [str(item) for item in value]
-        return None
-
-    for key, attr in (("select", "select"), ("ignore", "ignore"),
-                      ("paths", "paths"),
-                      ("counter-mutators", "counter_mutators"),
-                      ("engine-functions", "engine_functions"),
-                      ("crosscutting", "crosscutting"), ("hot", "hot"),
-                      ("async-packages", "async_packages"),
-                      ("test-paths", "test_paths"),
-                      ("test-select", "test_select"),
-                      ("exclude", "exclude")):
-        value = str_list(key)
-        if value is not None:
-            setattr(config, attr, value)
-    baseline = table.get("baseline")
-    if isinstance(baseline, str):
-        config.baseline = baseline
-    layers = table.get("layers")
-    if isinstance(layers, dict):
-        config.layers = {str(k): int(v) for k, v in layers.items()}
-    counters = table.get("counters")
-    if isinstance(counters, dict):
-        config.counters = {str(k): [str(c) for c in v]
-                           for k, v in counters.items()
-                           if isinstance(v, list)}
-    parity = table.get("parity-groups")
-    if isinstance(parity, dict):
-        config.parity_groups = {str(k): [str(c) for c in v]
-                                for k, v in parity.items()
-                                if isinstance(v, list)}
-    hooks = table.get("hook-sites")
-    if isinstance(hooks, list):
-        parsed = []
-        for entry in hooks:
-            if (isinstance(entry, dict) and "module" in entry
-                    and "qualname" in entry):
-                kinds = entry.get("hooks", ["faults", "sanitize"])
-                parsed.append((str(entry["module"]), str(entry["qualname"]),
-                               tuple(str(k) for k in kinds)))
-        config.hook_sites = parsed
-    return config

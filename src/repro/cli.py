@@ -166,7 +166,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="base RNG seed (trial i uses seed+i)")
     sanitize.add_argument("--engine", default="batched",
                           help="engine under test: perline, batched, "
-                               "columnar, jit, or 'oracle' (alias for "
+                               "columnar, or 'oracle' (alias for "
                                "perline); default: batched")
     sanitize.add_argument("--reference", default="perline",
                           help="reference engine to diff against "
@@ -680,7 +680,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.analyze import (Analyzer, Baseline, BaselineError,
-                               TODO_REASON, filter_findings, load_config,
+                               LintConfig, TODO_REASON, filter_findings,
                                make_checkers, rule_table)
 
     if args.explain:
@@ -688,7 +688,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             print(f"{rule}  [{checker}] {description}")
         return 0
 
-    config = load_config()
+    config = LintConfig()
     paths = [Path(p) for p in (args.paths or config.paths)]
     missing = [p for p in paths if not p.exists()]
     if missing:

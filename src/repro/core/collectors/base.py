@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Set, Tuple
 
-from repro.observability.trace import TRACER
+from repro.probe import PROBES
 from repro.runtime.heap import OutOfMemoryError
 from repro.runtime.objectmodel import HEADER_BYTES, REF_BYTES, Obj
 from repro.runtime.spaces import ContiguousSpace, Space
@@ -103,28 +103,28 @@ class Collector:
         observer = vm.observer
         collect_observer = observer is not None and (
             force_observer or observer.bytes_free < nursery.bytes_used)
-        frame = TRACER.push("gc.trace")
+        frame = PROBES.push("gc.trace")
         try:
             nursery_live, observer_live = self._trace_young(
                 vm, collect_observer)
         finally:
-            TRACER.pop(frame)
+            PROBES.pop(frame)
         if collect_observer:
-            frame = TRACER.push("gc.observer")
+            frame = PROBES.push("gc.observer")
             try:
                 for obj in observer_live:
                     self._tenure_observer(vm, obj)
                 observer.reset()
                 vm.stats.observer_collections += 1
             finally:
-                TRACER.pop(frame, collector=self.config.name,
+                PROBES.pop(frame, collector=self.config.name,
                            survivors=len(observer_live))
-        frame = TRACER.push("gc.promote")
+        frame = PROBES.push("gc.promote")
         try:
             for obj in nursery_live:
                 self._promote_nursery(vm, obj)
         finally:
-            TRACER.pop(frame, survivors=len(nursery_live))
+            PROBES.pop(frame, survivors=len(nursery_live))
         nursery.reset()
         # Any survivor that left the young region (observer tenure, or
         # pretenured straight to mature) may still reference young
@@ -237,7 +237,7 @@ class Collector:
         heap.gc_epoch += 1
         epoch = heap.gc_epoch
         marked = 0
-        frame = TRACER.push("gc.mark")
+        frame = PROBES.push("gc.mark")
         try:
             stack: List[Obj] = [r for r in vm.roots if r is not None]
             while stack:
@@ -255,14 +255,14 @@ class Collector:
                 if num_refs:
                     stack.extend(ref for ref in obj.refs if ref is not None)
         finally:
-            TRACER.pop(frame, marked=marked)
+            PROBES.pop(frame, marked=marked)
         freed = 0
-        frame = TRACER.push("gc.sweep")
+        frame = PROBES.push("gc.sweep")
         try:
             for space in heap.chunked_spaces():
                 freed += space.sweep(epoch)
         finally:
-            TRACER.pop(frame, freed_bytes=freed)
+            PROBES.pop(frame, freed_bytes=freed)
         # Drop remset entries whose source died.
         survivors: List[Obj] = []
         for src in vm.remset:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.core.collectors.base import Collector
-from repro.observability.trace import TRACER
+from repro.probe import PROBES
 from repro.runtime.objectmodel import Obj
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -55,6 +55,6 @@ class KingsguardCollector(Collector):
             obj.write_count = 0
             vm.stats.large_migrations += 1
             vm.stats.bytes_copied += obj.size
-            if TRACER.enabled:
-                TRACER.event("gc.large_migration",
+            if PROBES.on:
+                PROBES.event("gc.large_migration",
                              collector=self.config.name, bytes=obj.size)

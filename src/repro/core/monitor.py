@@ -15,12 +15,11 @@ from dataclasses import dataclass, field
 from typing import List
 
 from repro.config import LINE_SIZE, PAGE_SIZE
-from repro.faults.plan import FAULTS
 from repro.kernel.process import Process, SimThread
 from repro.kernel.vm import Kernel
 from repro.machine.topology import PCM_NODE
 from repro.observability.metrics import METRICS
-from repro.observability.trace import TRACER
+from repro.probe import PROBES
 
 
 @dataclass
@@ -75,15 +74,15 @@ class WriteRateMonitor:
         """Read the counters and log a record (with write traffic)."""
         machine = self.kernel.machine
         stale = False
-        if FAULTS.active is not None:
-            # Fault hook: "raise" wedges the monitor mid-sample;
-            # "stale" re-publishes the previous counters, modelling a
+        if PROBES.on:
+            # A "raise" fault wedges the monitor mid-sample; a "stale"
+            # answer re-publishes the previous counters, modelling a
             # pcm-memory reader stuck on an old snapshot.
-            stale = FAULTS.arrive("monitor.sample",
-                                  round=round_index) == "stale"
+            stale = PROBES.fire("monitor.sample",
+                                round=round_index) == "stale"
         # A span (not an event) so the monitor's own write noise is
         # attributed to it by the profiler, not to the mutator.
-        frame = TRACER.push("monitor.sample", round=round_index)
+        frame = PROBES.push("monitor.sample", round=round_index)
         try:
             if stale and self.samples:
                 node_writes = list(self.samples[-1].node_writes)
@@ -107,9 +106,9 @@ class WriteRateMonitor:
                 self.thread.access(self._buffer_start + offset, 64, True)
             METRICS.inc("monitor.samples")
         finally:
-            TRACER.pop(frame)
-        if TRACER.enabled:
-            TRACER.event("monitor.sample", round=round_index,
+            PROBES.pop(frame)
+        if PROBES.on:
+            PROBES.event("monitor.sample", round=round_index,
                          node_writes=list(record.node_writes))
         return record
 

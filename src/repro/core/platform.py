@@ -46,10 +46,8 @@ from repro.machine.topology import (
     sniper_simulation_spec,
 )
 from repro.observability.metrics import METRICS, sanitize
-from repro.observability.profile import PROFILER, attributed_total
-from repro.observability.trace import TRACER
+from repro.probe import PROBES
 from repro.runtime.jvm import JavaVM, RuntimeStats
-from repro.sanitize.invariants import SANITIZE
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only, avoids layer cycles
     from repro.core.collectors.policy import CollectorConfig
@@ -331,7 +329,6 @@ class HybridMemoryPlatform:
         apps: List[object] = []
         ctxs = []
         wear_tracker = None
-        profiling = PROFILER.enabled
         run_frame = None
         mutator_frame = None
         try:
@@ -375,9 +372,6 @@ class HybridMemoryPlatform:
             if self.track_wear:
                 from repro.machine.wear import WearTracker
                 wear_tracker = WearTracker(machine, PCM_NODE)
-                if SANITIZE.active is not None:
-                    # Anchor the tracker-vs-node-counter law at attach.
-                    SANITIZE.watch_wear(wear_tracker)
             stat_marks = [vm.stats.copy() for vm in vms]
             mutator_marks = [sum(t.cycles for t in vm.app_threads)
                              for vm in vms]
@@ -386,12 +380,15 @@ class HybridMemoryPlatform:
             migration_marks = (kernel.pages_migrated,
                                kernel.migration_writes,
                                kernel.migration_cycles)
-            if profiling:
-                # Baseline sits exactly at the barrier, so attributed
-                # deltas and the result's counters share a zero point.
-                PROFILER.begin_run(
-                    lambda: _counter_snapshot(machine, kernel))
-            run_frame = TRACER.push(
+            if PROBES.on:
+                # A profile baseline sits exactly at the barrier, so
+                # attributed deltas and the result's counters share a
+                # zero point.
+                PROBES.fire("platform.barrier",
+                            snapshot=lambda: _counter_snapshot(machine,
+                                                               kernel),
+                            wear_tracker=wear_tracker)
+            run_frame = PROBES.push(
                 "run", benchmark=getattr(apps[0], "name", "custom"),
                 collector=collector, instances=instances)
 
@@ -407,13 +404,13 @@ class HybridMemoryPlatform:
                     if monitor is not None:
                         monitor.sample(round_index)
 
-            mutator_frame = TRACER.push("mutator")
+            mutator_frame = PROBES.push("mutator")
             try:
                 measured.run(
                     [app.iteration(ctx) for app, ctx in zip(apps, ctxs)],
                     on_round=on_round)
             finally:
-                TRACER.pop(mutator_frame)
+                PROBES.pop(mutator_frame)
 
             # ---- gather results
             elapsed_cycles = 0.0
@@ -430,6 +427,9 @@ class HybridMemoryPlatform:
                           + delta.gc_cycles / gc_thread_count)
                 elapsed_cycles = max(elapsed_cycles, cycles)
 
+            # Deferred engines may still hold the last queued lines
+            # (the monitor's final sample); land them before reading.
+            machine.sync_engines()
             pcm_node = machine.nodes[PCM_NODE]
             dram_node = machine.nodes[DRAM_NODE]
             elapsed_seconds = self.latency.seconds(int(elapsed_cycles))
@@ -489,47 +489,33 @@ class HybridMemoryPlatform:
                 result.wear_imbalance = wear_tracker.imbalance()
                 result.wear_efficiency = effective_endurance_efficiency(
                     wear_tracker)
-            TRACER.pop(run_frame)
-            if profiling:
-                result.profile = PROFILER.end_run(
-                    benchmark=result.benchmark, collector=collector,
-                    instances=instances, mode=self.mode.value)
-                if SANITIZE.active is not None:
-                    # Conservation is checked only on counters the
-                    # barrier resets — they share the profile baseline.
-                    totals = {
-                        "pcm.writes": result.pcm_write_lines,
-                        "dram.writes": result.dram_write_lines,
-                        "pcm.reads": pcm_node.read_lines,
-                        "dram.reads": dram_node.read_lines,
-                        "qpi.crossings": result.qpi_crossings,
-                    }
-                    attributed = {
-                        name: attributed_total(result.profile, name)
-                        for name in totals}
-                    SANITIZE.check_attribution(attributed, totals,
-                                               "platform.run")
+            PROBES.pop(run_frame)
             self._publish_space_metrics(vms)
-            if SANITIZE.active is not None:
-                # Full end-of-run sweep while the VMs and the wear
-                # tracker are still alive.
-                SANITIZE.run_end(kernel, wear_tracker)
+            if PROBES.on:
+                result.profile = PROBES.fire(
+                    "platform.profile", benchmark=result.benchmark,
+                    collector=collector, instances=instances,
+                    mode=self.mode.value)
+                # End-of-run sweep while the VMs and the wear tracker
+                # are still alive.
+                PROBES.fire("platform.run.done", kernel=kernel,
+                            result=result, wear_tracker=wear_tracker)
         except BaseException:
             # Body failed: tear everything down but let the original
             # exception propagate (teardown failures are recorded, not
             # raised — they must never mask the actual fault).
-            if profiling and PROFILER.active:
-                PROFILER.abort_run()
-            TRACER.pop(mutator_frame)  # no-op when already closed
-            TRACER.pop(run_frame)
+            if PROBES.on:
+                PROBES.fire("platform.abort")
+            PROBES.pop(mutator_frame)  # no-op when already closed
+            PROBES.pop(run_frame)
             self._teardown(wear_tracker, vms, monitor, raise_errors=False)
             raise
         else:
             self._teardown(wear_tracker, vms, monitor, raise_errors=True)
         result.host_seconds = time.perf_counter() - host_start
         self._publish_metrics(kernel, measured, result)
-        if TRACER.enabled:
-            TRACER.complete("platform.run", host_start,
+        if PROBES.on:
+            PROBES.complete("platform.run", host_start,
                             benchmark=result.benchmark, collector=collector,
                             instances=instances, mode=self.mode.value)
         return result
@@ -568,8 +554,8 @@ class HybridMemoryPlatform:
         if not errors:
             return
         METRICS.inc("platform.teardown_errors", len(errors))
-        if TRACER.enabled:
-            TRACER.event("platform.teardown_error",
+        if PROBES.on:
+            PROBES.event("platform.teardown_error",
                          count=len(errors),
                          errors=[type(e).__name__ for e in errors])
         if raise_errors:

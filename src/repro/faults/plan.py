@@ -7,48 +7,16 @@ handle.  This module is the chaos half of that contract: a
 :class:`FaultPlan` names trigger points across the stack and the
 process-wide :class:`FaultInjector` (:data:`FAULTS`) fires them.
 
-Hook points follow the tracer's pattern — a single attribute-load plus
-``is None`` check when no plan is installed, so the instrumented sites
-cost nothing in production runs::
+The stack announces its fault points on the probe bus
+(:data:`repro.probe.PROBES`); while a plan is installed, :data:`FAULTS`
+subscribes and treats every fired site as an arrival::
 
-    if FAULTS.active is not None:
-        FAULTS.arrive("kernel.mmap_bind", node=node_id)
+    if PROBES.on:
+        PROBES.fire("kernel.mmap_bind", node=node_id)
 
-Registered sites (each hook documents its own context keys):
-
-========================  ==================================================
-``kernel.mmap_bind``      entry of :meth:`Kernel.mmap_bind`; ``raise``
-                          actions model frame exhaustion / EFAULT.
-``kernel.munmap``         entry of :meth:`Kernel.munmap`; ``raise``
-                          actions model a failing unmap before any
-                          frame is released (the call is atomic).
-``kernel.migrate``        entry of :meth:`Kernel.migrate_page`, before
-                          the destination frame is allocated; ``raise``
-                          actions model a migration aborted by frame
-                          exhaustion — no counter moves, page stays put.
-``kernel.reclaim``        entry of :meth:`Kernel.reclaim_process`;
-                          ``raise`` actions model dying mid-teardown.
-``runtime.alloc``         entry of :meth:`MutatorContext.alloc`; ``raise``
-                          actions model heap exhaustion or a wild page
-                          touch during allocation.
-``runtime.gc``            entry of :meth:`JavaVM.minor_collect` /
-                          :meth:`JavaVM.full_collect` (context key
-                          ``kind``); ``raise`` actions model a crash
-                          at a GC safepoint.
-``machine.flush_all``     entry of :meth:`NumaMachine.flush_all`;
-                          ``raise`` actions model failure before the
-                          final write-back drain.
-``runtime.heap.commit``   :meth:`HybridHeap.may_commit`; the ``exhaust``
-                          action makes the budget check fail so the VM
-                          walks its real emergency-collection ->
-                          ``OutOfMemoryError`` path.
-``monitor.sample``        :meth:`WriteRateMonitor.sample`; ``raise`` wedges
-                          the monitor, ``stale`` re-publishes the previous
-                          counters instead of reading fresh ones.
-``runtime.shutdown``      :meth:`JavaVM.shutdown` (after frame release);
-                          used to prove platform teardown survives a
-                          failing step mid-list.
-========================  ==================================================
+The sites, what each one models and the function firing it are listed
+in :data:`repro.probe.SITES` (the entries marked "fault"); each site
+passes its own context keys.
 
 Harness-level faults (worker-process crash/hang in ``run_many``) cannot
 be expressed as in-process hooks — the victim is another process — and
@@ -69,6 +37,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.observability.metrics import METRICS, sanitize
 from repro.observability.trace import TRACER
+from repro.probe import PROBES, ProbeBus
 
 
 class FaultError(RuntimeError):
@@ -115,7 +84,7 @@ class FaultSpec:
     Parameters
     ----------
     site:
-        Hook-point name (see the module docstring).
+        Probe site name (see :data:`repro.probe.SITES`).
     at:
         Fire on the Nth arrival at the site (1-based).
     action:
@@ -184,15 +153,15 @@ class FiredFault:
 
 
 class FaultInjector:
-    """Process-wide injector the hook points consult.
+    """Process-wide injector: the probe bus's fault subscriber.
 
-    ``active`` is the installed :class:`FaultPlan` or ``None``; hook
-    points must check it before calling :meth:`arrive` so the uninstalled
-    cost stays one attribute load and an ``is None`` test.
+    ``active`` is the installed :class:`FaultPlan` or ``None``.
+    :meth:`arrive` is also callable directly (tests, the fuzzer).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, bus: Optional[ProbeBus] = None) -> None:
         self.active: Optional[FaultPlan] = None
+        self._bus = bus
         self._arrivals: Dict[str, int] = {}
         self.fired: List[FiredFault] = []
         self._rng = random.Random(0)
@@ -206,9 +175,13 @@ class FaultInjector:
         self._arrivals = {}
         self.fired = []
         self._rng = random.Random(plan.seed)
+        if self._bus is not None:
+            self._bus.subscribe(self.probe)
 
     def uninstall(self) -> None:
         self.active = None
+        if self._bus is not None:
+            self._bus.unsubscribe(self.probe)
 
     @contextmanager
     def installed(self, plan: FaultPlan):
@@ -225,6 +198,10 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # The hook-point entry
     # ------------------------------------------------------------------
+    def probe(self, site: str, ctx: Dict[str, object]) -> Optional[str]:
+        """Bus subscriber: every fired site is an arrival."""
+        return self.arrive(site, **ctx)
+
     def arrive(self, site: str, **context) -> Optional[str]:
         """Count an arrival at ``site``; fire a matching spec if armed.
 
@@ -257,6 +234,6 @@ class FaultInjector:
         return None
 
 
-#: The process-wide injector every hook point consults.  No plan is
-#: installed by default; hooks pay one ``is None`` check.
-FAULTS = FaultInjector()
+#: The process-wide injector, subscribed to the probe bus while a plan
+#: is installed.
+FAULTS = FaultInjector(bus=PROBES)

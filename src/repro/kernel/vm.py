@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.config import PAGE_SHIFT, PAGE_SIZE
-from repro.faults.plan import FAULTS
 from repro.kernel.pagetable import LINES_PER_PAGE_SHIFT, PageFault
 from repro.kernel.placement import (
     PlacementPolicy,
@@ -31,8 +30,7 @@ from repro.kernel.placement import (
 )
 from repro.kernel.process import Process
 from repro.machine.numa import NumaMachine
-from repro.observability.trace import TRACER
-from repro.sanitize.invariants import SANITIZE
+from repro.probe import PROBES
 
 
 class MBindError(Exception):
@@ -120,9 +118,9 @@ class Kernel:
         # addresses, so they must execute before the page table or the
         # frame attribution changes underneath them.
         self.machine.sync_engines()
-        if FAULTS.active is not None:  # fault hook: frame exhaustion etc.
-            FAULTS.arrive("kernel.mmap_bind", pid=process.pid, vaddr=vaddr,
-                          node=node_id, tag=tag)
+        if PROBES.on:
+            PROBES.fire("kernel.mmap_bind", pid=process.pid, vaddr=vaddr,
+                        node=node_id, tag=tag)
         first_page = vaddr >> PAGE_SHIFT
         num_pages = length >> PAGE_SHIFT
         page_table = process.page_table
@@ -144,11 +142,8 @@ class Kernel:
             for vpage in range(first_page, first_page + num_pages):
                 page_table.reserve(vpage, tag)
             self.mmap_calls += 1
-            if TRACER.enabled:
-                TRACER.event("kernel.mbind", pid=process.pid, vaddr=vaddr,
-                             length=length, node=node_id, tag=tag)
-            if SANITIZE.active is not None:
-                SANITIZE.kernel_op(self, "mmap_bind")
+            if PROBES.on:
+                self._bound(process, vaddr, length, node_id, tag)
             return
         # (vpage, node_id, frame) fully installed, for rollback.
         mapped: List[Tuple[int, int, int]] = []
@@ -183,11 +178,15 @@ class Kernel:
             policy.note_mapped(vpage, pnode_id, frame)
         self.mmap_calls += 1
         self.pages_mapped += num_pages
-        if TRACER.enabled:
-            TRACER.event("kernel.mbind", pid=process.pid, vaddr=vaddr,
-                         length=length, node=node_id, tag=tag)
-        if SANITIZE.active is not None:
-            SANITIZE.kernel_op(self, "mmap_bind")
+        if PROBES.on:
+            self._bound(process, vaddr, length, node_id, tag)
+
+    def _bound(self, process: Process, vaddr: int, length: int,
+               node_id: int, tag: Optional[str]) -> None:
+        """Announce a completed bind (both of mmap_bind's exits)."""
+        PROBES.event("kernel.mbind", pid=process.pid, vaddr=vaddr,
+                     length=length, node=node_id, tag=tag)
+        PROBES.fire("kernel.mmap_bind.done", kernel=self)
 
     def fault_in(self, process: Process, vpage: int, socket_id: int,
                  vaddr: int) -> int:
@@ -242,9 +241,9 @@ class Kernel:
         # Deferred-engine barrier: queued runs may hold physical line
         # addresses of the frame being replaced.
         self.machine.sync_engines()
-        if FAULTS.active is not None:  # fault hook: die before the copy
-            FAULTS.arrive("kernel.migrate", pid=process.pid, vpage=vpage,
-                          dest=dest_node_id)
+        if PROBES.on:
+            PROBES.fire("kernel.migrate", pid=process.pid, vpage=vpage,
+                        dest=dest_node_id)
         page_table = process.page_table
         src_node_id, src_frame = page_table.entry(vpage)
         if src_node_id == dest_node_id:
@@ -261,7 +260,7 @@ class Kernel:
         lines = 1 << LINES_PER_PAGE_SHIFT
         # Span so the copy's writes are attributed to migration, not to
         # whichever phase the safepoint interrupted.
-        span = TRACER.push("kernel.migrate", pid=process.pid, vpage=vpage,
+        span = PROBES.push("kernel.migrate", pid=process.pid, vpage=vpage,
                            src=src_node_id, dest=dest_node_id)
         try:
             base = frame_paddr >> 6
@@ -269,7 +268,7 @@ class Kernel:
             for offset in range(lines):
                 migration_write(base + offset)
         finally:
-            TRACER.pop(span)
+            PROBES.pop(span)
         page_table.unmap_page(vpage)  # epoch bump -> TLB invalidation
         src_node.free_frame(src_frame)
         page_table.map_page(vpage, dest_node_id, frame, frame_paddr)
@@ -281,8 +280,8 @@ class Kernel:
         # round trip (the QPI hop between the nodes).
         self.migration_cycles += lines * self.machine.latency.memory_latency(
             remote=True)
-        if SANITIZE.active is not None:
-            SANITIZE.kernel_op(self, "migrate")
+        if PROBES.on:
+            PROBES.fire("kernel.migrate.done", kernel=self)
 
     def placement_tick(self) -> None:
         """Placement safepoint: let tick-driven policies migrate.
@@ -298,8 +297,8 @@ class Kernel:
         self.machine.sync_engines()
         for policy in list(self._tick_policies):
             policy.tick()
-        if SANITIZE.active is not None:
-            SANITIZE.kernel_op(self, "placement_tick")
+        if PROBES.on:
+            PROBES.fire("kernel.placement_tick.done", kernel=self)
 
     def retag_range(self, process: Process, vaddr: int, length: int,
                     tag: str) -> None:
@@ -339,9 +338,9 @@ class Kernel:
                 f"unaligned munmap request: vaddr={vaddr:#x} length={length}")
         # Deferred-engine barrier: see mmap_bind.
         self.machine.sync_engines()
-        if FAULTS.active is not None:  # fault hook: mirrors mmap_bind
-            FAULTS.arrive("kernel.munmap", pid=process.pid, vaddr=vaddr,
-                          length=length)
+        if PROBES.on:
+            PROBES.fire("kernel.munmap", pid=process.pid, vaddr=vaddr,
+                        length=length)
         first_page = vaddr >> PAGE_SHIFT
         num_pages = length >> PAGE_SHIFT
         page_table = process.page_table
@@ -364,15 +363,15 @@ class Kernel:
             backed += 1
         self.munmap_calls += 1
         self.pages_unmapped += backed
-        if SANITIZE.active is not None:
-            SANITIZE.kernel_op(self, "munmap")
+        if PROBES.on:
+            PROBES.fire("kernel.munmap.done", kernel=self)
 
     def reclaim_process(self, process: Process) -> None:
         """Tear down a process: free all frames, drop it from the table."""
         # Deferred-engine barrier: see mmap_bind.
         self.machine.sync_engines()
-        if FAULTS.active is not None:  # fault hook: die mid-teardown
-            FAULTS.arrive("kernel.reclaim", pid=process.pid)
+        if PROBES.on:
+            PROBES.fire("kernel.reclaim", pid=process.pid)
         policy = process.placement
         reclaimed = 0
         for vpage, node_id, frame in list(process.page_table.entries()):
@@ -395,5 +394,5 @@ class Kernel:
         listeners = self.machine.write_listeners
         if policy.on_write in listeners:
             listeners.remove(policy.on_write)
-        if SANITIZE.active is not None:
-            SANITIZE.kernel_op(self, "reclaim")
+        if PROBES.on:
+            PROBES.fire("kernel.reclaim.done", kernel=self)

@@ -3,7 +3,7 @@
 :class:`ColumnarCacheLevel` is representation-for-representation what
 :class:`repro.machine.cache.CacheLevel` keeps in its per-set ordered
 dicts, laid out as three ``(num_sets, assoc)`` numpy matrices so batch
-kernels (interpreted, C, or numba) can walk whole access runs without
+kernels (interpreted or C) can walk whole access runs without
 touching a Python object per line:
 
 * ``tags`` — int64 line tag per way, ``-1`` marking an invalid way;

@@ -5,7 +5,7 @@ work with a per-run *enqueue*: each ``access_line``/``access_run`` call
 appends ``(first_line, count, is_write)`` to a queue and returns
 immediately.  When the queue fills — or any observer needs consistent
 counters — the whole queue is executed by one batch-kernel call
-(interpreted, C, or numba; see :mod:`repro.machine.pykernel` for the
+(interpreted or C; see :mod:`repro.machine.pykernel` for the
 contract), and the resulting counter deltas are applied to the same
 ``CacheStats`` / ``MemoryNode`` / machine counters the per-line engine
 mutates.  Because the kernel runs the per-line algorithm verbatim over
@@ -37,7 +37,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.faults.plan import FAULTS
 from repro.machine.colcache import ColumnarCacheLevel
 from repro.machine.memory import NODE_LINE_SHIFT
 from repro.machine.nativekernel import KernelFn
@@ -59,6 +58,7 @@ from repro.machine.pykernel import (
     OUT_READS_BASE,
     OUT_SIZE,
 )
+from repro.probe import PROBES
 
 #: Flush the queue once it holds this many runs ...
 MAX_PENDING_RUNS = 16384
@@ -146,8 +146,8 @@ class ColumnarCorePath(CorePath):
         n_runs = len(self._q_base)
         if not n_runs:
             return
-        if FAULTS.active is not None:  # fault hook: die mid-batch
-            FAULTS.arrive("machine.engine_flush", runs=n_runs)
+        if PROBES.on:  # a fault here dies mid-batch
+            PROBES.fire("machine.engine_flush", runs=n_runs)
         machine = self.machine
         # Zero-copy views over the typed queues; consumed fully by the
         # runs-buffer assembly below, after which the queues are reset.

@@ -1,6 +1,6 @@
-"""Access-engine registry: per-line oracle, batched, columnar, jit.
+"""Access-engine registry: per-line oracle, batched, columnar.
 
-The simulator has four interchangeable *access engines* — ways of
+The simulator has three interchangeable *access engines* — ways of
 pushing the same access stream through the same cache model with
 bit-identical counters:
 
@@ -15,12 +15,8 @@ bit-identical counters:
     Cache state in numpy tag/dirty/age matrices; runs are queued and
     executed by a batch kernel — a small compiled C kernel when a host
     compiler is available (see :mod:`repro.machine.nativekernel`), else
-    the interpreted reference kernel.
-``jit``
-    The columnar engine with the reference kernel compiled by
-    ``numba.njit``.  Numba is optional; without it this resolves to the
-    columnar engine's kernels (the resolved :class:`Engine` records
-    what actually loaded in ``kernel_name``).
+    the interpreted reference kernel (the resolved :class:`Engine`
+    records which one loaded in ``kernel_name``).
 
 Selection: explicit ``engine=`` arguments (``repro run --engine ...``)
 win over the ``REPRO_ENGINE`` environment variable, which wins over the
@@ -37,21 +33,19 @@ from repro.machine import pykernel
 from repro.machine.cache import CacheLevel
 from repro.machine.colcache import ColumnarCacheLevel
 from repro.machine.colengine import ColumnarCorePath
-from repro.machine.jitkernel import load_jit_kernel
 from repro.machine.nativekernel import KernelFn, load_native_kernel
 from repro.machine.numa import CorePath, NumaMachine, Socket
 
 #: Environment variable consulted when no explicit engine is given.
 ENGINE_ENV = "REPRO_ENGINE"
 #: Registry order is also the CLI help order.
-ENGINE_NAMES: Tuple[str, ...] = ("perline", "batched", "columnar", "jit")
+ENGINE_NAMES: Tuple[str, ...] = ("perline", "batched", "columnar")
 DEFAULT_ENGINE = "batched"
 
 _DESCRIPTIONS = {
     "perline": "per-line oracle (dict caches, one access per line)",
     "batched": "fused per-run dict loops (default)",
     "columnar": "numpy state matrices + compiled batch kernel",
-    "jit": "columnar state with a numba-compiled kernel",
 }
 
 
@@ -60,8 +54,8 @@ class Engine:
     """A resolved access engine: factories plus provenance.
 
     ``requested`` is the name asked for; ``kernel_name`` records which
-    kernel backend actually loaded (``jit`` without numba resolves to
-    the columnar engine's ``native`` or ``python`` kernel).
+    kernel backend actually loaded (``columnar`` without a C compiler
+    resolves to the ``python`` kernel).
     """
 
     name: str
@@ -105,9 +99,8 @@ def describe_engines() -> str:
 def resolve_engine(name: Optional[str] = None) -> Engine:
     """Resolve an engine name (or ``$REPRO_ENGINE``, or the default).
 
-    Always succeeds for registered names: optional backends degrade —
-    ``jit`` without numba and ``columnar`` without a C compiler both
-    fall back along the kernel chain numba -> native C -> interpreted,
+    Always succeeds for registered names: ``columnar`` without a C
+    compiler falls back from the native kernel to the interpreted one,
     changing only speed, never counters.
     """
     requested = name or os.environ.get(ENGINE_ENV) or DEFAULT_ENGINE
@@ -119,16 +112,8 @@ def resolve_engine(name: Optional[str] = None) -> Engine:
         return Engine(name=requested, requested=requested,
                       description=_DESCRIPTIONS[requested],
                       columnar=False, kernel_name="none", kernel=None)
-    kernel: Optional[KernelFn] = None
-    kernel_name = "python"
-    if requested == "jit":
-        kernel = load_jit_kernel()
-        if kernel is not None:
-            kernel_name = "numba"
-    if kernel is None:
-        kernel = load_native_kernel()
-        if kernel is not None:
-            kernel_name = "native"
+    kernel: Optional[KernelFn] = load_native_kernel()
+    kernel_name = "native"
     if kernel is None:
         kernel = pykernel.run_batch
         kernel_name = "python"

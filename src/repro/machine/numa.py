@@ -16,11 +16,9 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 import numpy as np
 
 from repro.config import LatencyModel
-from repro.faults.plan import FAULTS
 from repro.machine.cache import CacheLevel
 from repro.machine.memory import NODE_LINE_SHIFT, MemoryNode, node_of_line
-from repro.observability.trace import TRACER
-from repro.sanitize.invariants import SANITIZE
+from repro.probe import PROBES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.machine.engine import Engine
@@ -316,11 +314,11 @@ class NumaMachine:
     def flush_all(self, core_paths: List[CorePath]) -> None:
         """Flush private caches and every LLC out to memory."""
         self.sync_engines()
-        if FAULTS.active is not None:  # fault hook: die before the drain
-            FAULTS.arrive("machine.flush_all", paths=len(core_paths))
+        if PROBES.on:
+            PROBES.fire("machine.flush_all", paths=len(core_paths))
         # Span so the drain's write-backs are attributed to the flush
         # phase, not to whichever phase triggered it.
-        frame = TRACER.push("machine.flush", paths=len(core_paths))
+        frame = PROBES.push("machine.flush", paths=len(core_paths))
         try:
             for path in core_paths:
                 path.drain()
@@ -328,9 +326,9 @@ class NumaMachine:
                 for line in socket.llc.flush():
                     self.memory_write(line)
         finally:
-            TRACER.pop(frame)
-        if SANITIZE.active is not None:
-            SANITIZE.machine_op(self, "flush_all")
+            PROBES.pop(frame)
+        if PROBES.on:
+            PROBES.fire("machine.flush_all.done", machine=self)
 
     def reset_counters(self) -> None:
         # Queued accesses were issued before the reset; land them first.
@@ -338,10 +336,8 @@ class NumaMachine:
         for node in self.nodes:
             node.reset_counters()
         self.qpi_crossings = 0
-        if SANITIZE.active is not None:
-            # Node counters restart from zero while cache stats keep
-            # accumulating; re-anchor the conservation-law deltas.
-            SANITIZE.rebaseline(self)
+        if PROBES.on:
+            PROBES.fire("machine.reset_counters.done", machine=self)
 
     def node_writes(self, node_id: int) -> int:
         """Lines written to ``node_id`` since the last reset."""

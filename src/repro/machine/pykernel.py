@@ -7,16 +7,13 @@ dirty-victim write-back into the LLC, demand LLC access, memory-write
 propagation.  Counters come out bit-identical to the per-line engine
 because this *is* the per-line engine, re-expressed over arrays.
 
-The function is written in the intersection of plain Python and
-``numba.njit``-compilable Python (scalar loops, flat int64/uint8 numpy
-arrays, no Python objects), so the same source serves three backends:
+The function is written as scalar loops over flat int64/uint8 numpy
+arrays, with no Python objects, so the same source serves two backends:
 
 * interpreted, as the always-available correctness fallback and the
-  differential reference for the compiled kernels;
-* ``numba.njit``-compiled (:mod:`repro.machine.jitkernel`), behind the
-  ``REPRO_ENGINE=jit`` flag;
+  differential reference for the compiled kernel;
 * a line-for-line C translation (:mod:`repro.machine.nativekernel`),
-  the default compiled backend for ``REPRO_ENGINE=columnar``.
+  the default backend for ``REPRO_ENGINE=columnar``.
 
 Array contract (all int64 unless noted):
 

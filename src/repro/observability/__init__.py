@@ -11,8 +11,8 @@ this package is the reproduction's equivalent of that tooling:
 * :mod:`repro.observability.trace` — an event tracer emitting
   timestamped spans and events (GC phases, mbind calls, monitor
   samples, experiment runs) into a bounded ring buffer with JSON-lines
-  export.  Disabled by default; instrumented hot paths pay only a
-  ``TRACER.enabled`` boolean check.
+  export.  Disabled by default; the simulation reaches it through the
+  probe bus (:mod:`repro.probe`), one ``PROBES.on`` check per site.
 * :mod:`repro.observability.log` — the ``logging``-based narrator used
   instead of bare ``print`` so library consumers can silence or
   redirect progress output.

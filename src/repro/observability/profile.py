@@ -32,6 +32,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.observability.trace import TRACER, Tracer
+from repro.probe import PROBES, ProbeBus
 
 #: Bump when the profile artifact layout changes incompatibly.
 PROFILE_SCHEMA = "repro.profile/v1"
@@ -60,11 +61,16 @@ class Profiler:
         profile = PROFILER.end_run(meta)  # unhooks, returns the artifact
 
     ``snapshot_fn`` returns a flat ``{name: int}`` of monotonic
-    counters; the profiler never interprets the names.
+    counters; the profiler never interprets the names.  While enabled,
+    the process-wide profiler does this bracketing itself from the
+    platform's ``platform.barrier`` / ``platform.profile`` /
+    ``platform.abort`` probe sites.
     """
 
-    def __init__(self, tracer: Tracer = TRACER) -> None:
-        self.enabled = False
+    def __init__(self, tracer: Tracer = TRACER,
+                 bus: Optional[ProbeBus] = None) -> None:
+        self._enabled = False
+        self._bus = bus
         self._tracer = tracer
         self._snapshot: Optional[SnapshotFn] = None
         self._last: Dict[str, int] = {}
@@ -75,11 +81,35 @@ class Profiler:
         """True between :meth:`begin_run` and :meth:`end_run`."""
         return self._snapshot is not None
 
+    @property
+    def enabled(self) -> bool:
+        """Whether platform runs are profiled (subscribed to the bus)."""
+        return self._enabled
+
+    @enabled.setter
+    def enabled(self, value: bool) -> None:
+        self._enabled = bool(value)
+        if self._bus is not None:
+            if self._enabled:
+                self._bus.subscribe(self.probe)
+            else:
+                self._bus.unsubscribe(self.probe)
+
     def enable(self) -> None:
         self.enabled = True
 
     def disable(self) -> None:
         self.enabled = False
+
+    def probe(self, site: str, ctx: Dict) -> Optional[Dict]:
+        """Bus subscriber: bracket each platform run."""
+        if site == "platform.barrier":
+            self.begin_run(ctx["snapshot"])
+        elif site == "platform.profile" and self.active:
+            return self.end_run(**ctx)
+        elif site == "platform.abort" and self.active:
+            self.abort_run()
+        return None
 
     # ------------------------------------------------------------------
     # Run bracketing
@@ -139,7 +169,7 @@ class Profiler:
 
 
 #: The process-wide profiler (off by default, like TRACER).
-PROFILER = Profiler()
+PROFILER = Profiler(bus=PROBES)
 
 
 # ----------------------------------------------------------------------

@@ -6,12 +6,12 @@ samples, experiment runs — emit records into a bounded
 :class:`collections.deque`; ``repro trace <experiment>`` exports them
 as JSON lines (one object per record).
 
-Tracing is **off by default** and the singleton :data:`TRACER` starts
-disabled, so the hot access path pays only an attribute load and a
-boolean check::
-
-    if TRACER.enabled:
-        TRACER.event("kernel.mbind", node=node_id)
+Tracing is **off by default**.  The simulation layers never call the
+tracer directly: they announce spans and events on the probe bus
+(:data:`repro.probe.PROBES`), and the singleton :data:`TRACER`
+subscribes to the bus's span/event channel while it is enabled (spans
+only, while just an attribution boundary is set).  Harness, serve and
+CLI code records its own events here directly.
 
 Record schema (one JSON object per line when exported):
 
@@ -52,6 +52,8 @@ from collections import deque
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, List, Optional
 
+from repro.probe import PROBES, ProbeBus
+
 #: Default ring-buffer capacity (records, not bytes).
 DEFAULT_CAPACITY = 65536
 
@@ -69,15 +71,19 @@ class Tracer:
         Maximum records retained; older records are dropped first.
     clock:
         Timestamp source (injectable for deterministic tests).
+    bus:
+        Probe bus to record from while enabled (the process-wide
+        tracer uses :data:`repro.probe.PROBES`; test tracers none).
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY,
-                 clock=time.perf_counter) -> None:
+                 clock=time.perf_counter,
+                 bus: Optional[ProbeBus] = None) -> None:
         if capacity <= 0:
             raise ValueError("tracer capacity must be positive")
-        #: Hot-path guard: instrumented sites check this boolean before
-        #: building any record.
-        self.enabled = False
+        self._bus = bus
+        self._enabled = False
+        self._boundary: Optional[Callable[[str, float], None]] = None
         self.capacity = capacity
         self._clock = clock
         self._records: deque = deque(maxlen=capacity)
@@ -86,15 +92,40 @@ class Tracer:
         self._stack: List[SpanFrame] = []
         #: Next span id (stable within a capture; reset by clear()).
         self._next_id = 1
-        #: Attribution hook: ``boundary(path, ts)`` is called at every
-        #: span push/pop *before* the stack changes, with the path that
-        #: was active for the interval just ending.  Set by the
-        #: profiler; ``None`` keeps push/pop near-free.
-        self.boundary: Optional[Callable[[str, float], None]] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
+    @property
+    def enabled(self) -> bool:
+        """Whether spans and events are being recorded."""
+        return self._enabled
+
+    @enabled.setter
+    def enabled(self, value: bool) -> None:
+        self._enabled = bool(value)
+        self._route()
+
+    @property
+    def boundary(self) -> Optional[Callable[[str, float], None]]:
+        """Attribution hook: ``boundary(path, ts)`` is called at every
+        span push/pop *before* the stack changes, with the path that was
+        active for the interval just ending.  Set by the profiler;
+        ``None`` keeps push/pop near-free."""
+        return self._boundary
+
+    @boundary.setter
+    def boundary(self, hook: Optional[Callable[[str, float], None]]) -> None:
+        self._boundary = hook
+        self._route()
+
+    def _route(self) -> None:
+        """Subscribe to the bus: events while enabled, spans while
+        enabled or while an attribution boundary is set."""
+        if self._bus is not None:
+            self._bus.record(self, events=self._enabled,
+                             spans=self._enabled or self._boundary is not None)
+
     def enable(self) -> None:
         self.enabled = True
 
@@ -136,7 +167,7 @@ class Tracer:
 
     def event(self, name: str, **attrs) -> None:
         """Record an instantaneous event (no-op while disabled)."""
-        if not self.enabled:
+        if not self._enabled:
             return
         record: Dict = {"type": "event", "name": name, "ts": self._clock()}
         if attrs:
@@ -154,7 +185,7 @@ class Tracer:
         and, when other spans are open, a ``parent`` link to the
         innermost one — but it never participates in attribution.
         """
-        if not self.enabled:
+        if not self._enabled:
             return
         now = self._clock()
         record: Dict = {"type": "span", "name": name, "id": self._next_id,
@@ -184,8 +215,8 @@ class Tracer:
         attribution are off — the caller passes it straight to ``pop``,
         which treats ``None`` as a no-op.
         """
-        boundary = self.boundary
-        if not self.enabled and boundary is None:
+        boundary = self._boundary
+        if not self._enabled and boundary is None:
             return None
         now = self._clock()
         if boundary is not None:
@@ -210,7 +241,7 @@ class Tracer:
             return
         frame[5] = True
         now = self._clock()
-        boundary = self.boundary
+        boundary = self._boundary
         if boundary is not None:
             # Close this span's own exclusive interval before popping.
             boundary(self.current_path(), now)
@@ -222,7 +253,7 @@ class Tracer:
             index = None
         if index is not None:
             del self._stack[index:]
-        if self.enabled:
+        if self._enabled:
             span_id, name, parent, start, push_attrs = frame[:5]
             record: Dict = {"type": "span", "name": name, "id": span_id,
                             "ts": start, "dur": now - start}
@@ -284,6 +315,6 @@ class Tracer:
         return len(self._records)
 
 
-#: The process-wide tracer every instrumented site records into.
-#: Starts disabled: the instrumentation cost is one boolean check.
-TRACER = Tracer()
+#: The process-wide tracer: records the probe bus's spans and events
+#: while enabled.  Starts disabled.
+TRACER = Tracer(bus=PROBES)

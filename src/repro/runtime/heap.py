@@ -16,10 +16,10 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.config import DEFAULT_SCALE_CONFIG, ScaleConfig
-from repro.faults.plan import FAULTS
 from repro.kernel.addressspace import AddressSpaceLayout
 from repro.kernel.process import Process
 from repro.kernel.vm import Kernel
+from repro.probe import PROBES
 from repro.runtime.freelist import ChunkFreeList, ChunkRecord
 from repro.runtime.objectmodel import Obj
 from repro.runtime.spaces import (
@@ -30,7 +30,6 @@ from repro.runtime.spaces import (
     MetadataSpace,
     Space,
 )
-from repro.sanitize.invariants import SANITIZE
 
 
 class OutOfMemoryError(MemoryError):
@@ -116,12 +115,12 @@ class HybridHeap:
     # Budget accounting
     # ------------------------------------------------------------------
     def may_commit(self, nbytes: int) -> bool:
-        if FAULTS.active is not None:
-            # Fault hook: an "exhaust" action denies the budget check so
-            # the VM walks its real emergency-collection ->
-            # OutOfMemoryError path rather than a synthetic raise.
-            if FAULTS.arrive("runtime.heap.commit",
-                             nbytes=nbytes) == "exhaust":
+        if PROBES.on:
+            # An "exhaust" answer denies the budget check so the VM
+            # walks its real emergency-collection -> OutOfMemoryError
+            # path rather than a synthetic raise.
+            if PROBES.fire("runtime.heap.commit",
+                           nbytes=nbytes) == "exhaust":
                 return False
         return self.committed + nbytes <= self.heap_budget
 
@@ -129,8 +128,8 @@ class HybridHeap:
         self.committed += record.size
         self.kernel.retag_range(self.process, record.addr, record.size,
                                 space.name)
-        if SANITIZE.active is not None:
-            SANITIZE.check_heap(self, "chunk_acquired")
+        if PROBES.on:
+            PROBES.fire("runtime.heap.chunk_acquired", heap=self)
 
     def note_chunk_released(self, space: Space) -> None:
         self.committed -= self.chunk_size

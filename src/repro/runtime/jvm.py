@@ -26,14 +26,12 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.config import DEFAULT_SCALE_CONFIG, ScaleConfig
-from repro.faults.plan import FAULTS
 from repro.kernel.addressspace import AddressSpaceLayout
 from repro.kernel.process import SimThread
 from repro.kernel.vm import Kernel
-from repro.observability.trace import TRACER
+from repro.probe import PROBES
 from repro.runtime.heap import HybridHeap, OutOfMemoryError
 from repro.runtime.objectmodel import LOS_THRESHOLD, Obj, object_size
-from repro.sanitize.invariants import SANITIZE
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.collectors.base import Collector
@@ -153,12 +151,12 @@ class JavaVM:
     # ------------------------------------------------------------------
     def _boot_image_load(self) -> None:
         """Write the boot image (the VM loading its image files)."""
-        frame = TRACER.push("jvm.boot")
+        frame = PROBES.push("jvm.boot")
         try:
             self.gc_threads[0].access_block(
                 self.boot.start, self.boot.end - self.boot.start, True)
         finally:
-            TRACER.pop(frame, bytes=self.boot.end - self.boot.start)
+            PROBES.pop(frame, bytes=self.boot.end - self.boot.start)
 
     # ------------------------------------------------------------------
     # GC plumbing
@@ -190,9 +188,9 @@ class JavaVM:
         self.remset = survivors
 
     def minor_collect(self) -> None:
-        if FAULTS.active is not None:  # fault hook: crash at a safepoint
-            FAULTS.arrive("runtime.gc", kind="minor")
-        frame = TRACER.push("gc.minor")
+        if PROBES.on:  # a fault here crashes at the safepoint
+            PROBES.fire("runtime.gc", kind="minor")
+        frame = PROBES.push("gc.minor")
         before = sum(t.cycles for t in self.gc_threads)
         try:
             self.collector.minor_collect(self)
@@ -201,31 +199,31 @@ class JavaVM:
             # even when a fault aborts the collection mid-phase, so the
             # span stack never orphans the enclosing run/mutator spans.
             pause = sum(t.cycles for t in self.gc_threads) - before
-            TRACER.pop(frame, collector=self.collector.config.name,
+            PROBES.pop(frame, collector=self.collector.config.name,
                        pause_cycles=pause // len(self.gc_threads))
         self.stats.minor_gcs += 1
         self.stats.gc_cycles += pause
         self.stats.pauses.append(pause // len(self.gc_threads))
-        if SANITIZE.active is not None:
-            SANITIZE.gc_round(self)
+        if PROBES.on:
+            PROBES.fire("runtime.gc.done", vm=self)
 
     def full_collect(self) -> None:
         # stats.full_gcs is counted inside mark_and_sweep, which also
         # runs on emergency (allocation-failure) collections.
-        if FAULTS.active is not None:  # fault hook: crash at a safepoint
-            FAULTS.arrive("runtime.gc", kind="full")
-        frame = TRACER.push("gc.full")
+        if PROBES.on:  # a fault here crashes at the safepoint
+            PROBES.fire("runtime.gc", kind="full")
+        frame = PROBES.push("gc.full")
         before = sum(t.cycles for t in self.gc_threads)
         try:
             self.collector.full_collect(self)
         finally:
             pause = sum(t.cycles for t in self.gc_threads) - before
-            TRACER.pop(frame, collector=self.collector.config.name,
+            PROBES.pop(frame, collector=self.collector.config.name,
                        pause_cycles=pause // len(self.gc_threads))
         self.stats.gc_cycles += pause
         self.stats.pauses.append(pause // len(self.gc_threads))
-        if SANITIZE.active is not None:
-            SANITIZE.gc_round(self)
+        if PROBES.on:
+            PROBES.fire("runtime.gc.done", vm=self)
 
     # ------------------------------------------------------------------
     # Mutator interface
@@ -244,11 +242,11 @@ class JavaVM:
 
     def shutdown(self) -> None:
         self.process.exit()
-        if FAULTS.active is not None:
-            # Fault hook, after frame release: models a shutdown step
+        if PROBES.on:
+            # After frame release: a fault here models a shutdown step
             # (listener detach, stats flush) failing so teardown-path
             # tests can prove one bad VM cannot skip its siblings.
-            FAULTS.arrive("runtime.shutdown", pid=self.process.pid)
+            PROBES.fire("runtime.shutdown", pid=self.process.pid)
 
 
 class MutatorContext:
@@ -282,12 +280,12 @@ class MutatorContext:
         ``LOS_THRESHOLD`` bytes or more are large.
         """
         vm = self.vm
-        if FAULTS.active is not None:
-            # Fault hook: heap exhaustion ("oom") or a wild page touch
+        if PROBES.on:
+            # Faults: heap exhaustion ("oom") or a wild page touch
             # ("page_fault") at the Nth allocation.  Deliberately not in
             # the byte-access engine — that hot path stays hook-free.
-            FAULTS.arrive("runtime.alloc", scalar_bytes=scalar_bytes,
-                          num_refs=num_refs)
+            PROBES.fire("runtime.alloc", scalar_bytes=scalar_bytes,
+                        num_refs=num_refs)
         size = object_size(scalar_bytes, num_refs)
         is_large = large if large is not None else size >= LOS_THRESHOLD
         thread = self.thread

@@ -3,17 +3,15 @@
 Two instruments, one contract:
 
 * :mod:`repro.sanitize.invariants` — the opt-in conservation-law
-  checker (:data:`SANITIZE`).  Hook points across machine/kernel/
-  runtime cost one ``is None`` test when it is not installed.
+  checker (:data:`SANITIZE`), a probe-bus subscriber while installed;
+  its sites cost one ``PROBES.on`` test when it is not.
 * :mod:`repro.sanitize.fuzz` — the differential fuzzer: seeded random
   traces replayed through both the batched engine and the per-line
   oracle on twin machines, with counter comparison and delta-debugging
   trace shrinking.
 
-``fuzz`` pulls in the whole emulation stack, while instrumented hook
-sites import :data:`SANITIZE` from :mod:`~repro.sanitize.invariants`
-at module load — so this package imports the fuzzer lazily to stay
-cycle-free.
+``fuzz`` pulls in the whole emulation stack, so this package imports
+it lazily: ``import repro.sanitize`` stays light.
 """
 
 from repro.sanitize.invariants import (

@@ -232,7 +232,7 @@ class TraceReplayer:
     :func:`repro.machine.engine.engine_names`): the machine is built
     with that engine and accesses are issued through the plain
     ``thread.access`` entry point, so each engine's real thread class
-    (batched, per-line oracle, columnar, jit) handles them exactly as
+    (batched, per-line oracle, columnar) handles them exactly as
     production code would.  ``"oracle"`` is accepted as an alias for
     ``"perline"``.  Everything else (kernel calls, drains, flushes) is
     engine-independent and must leave identical state.

@@ -7,12 +7,13 @@ process-wide :data:`SANITIZE` singleton is installed, instrumented
 sites across the stack re-derive each counter from an independent
 source and flag any disagreement as an :class:`InvariantViolation`.
 
-The hook-point pattern is exactly :mod:`repro.faults`' — one attribute
-load plus an ``is None`` test when no sanitizer is installed, so
-production runs pay nothing::
+The checks run at the after-operation probe sites (the entries marked
+"check" in :data:`repro.probe.SITES`): while installed, the sanitizer
+subscribes to the probe bus, so production runs pay one ``PROBES.on``
+test per site::
 
-    if SANITIZE.active is not None:
-        SANITIZE.kernel_op(self, "munmap")
+    if PROBES.on:
+        PROBES.fire("kernel.munmap.done", kernel=self)
 
 Conservation laws checked (each names the ``law`` field of its
 violations):
@@ -72,8 +73,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.config import PAGE_SHIFT
+from repro.machine.topology import DRAM_NODE, PCM_NODE
 from repro.observability.metrics import METRICS, sanitize
+from repro.observability.profile import attributed_total
 from repro.observability.trace import TRACER
+from repro.probe import PROBES, ProbeBus
 
 #: Cache lines per page — the per-page charge of one migration copy.
 _LINES_PER_PAGE = 1 << (PAGE_SHIFT - 6)
@@ -107,14 +111,14 @@ def _machine_read_sources(machine) -> int:
 
 
 class Sanitizer:
-    """Process-wide invariant checker the hook points consult.
+    """Invariant checker; the process-wide one is a probe-bus subscriber.
 
-    ``active`` is ``self`` when installed, else ``None``; hook points
-    must check it before calling in, mirroring :data:`repro.faults.FAULTS`.
+    ``active`` is ``self`` when installed, else ``None``.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, bus: Optional[ProbeBus] = None) -> None:
         self.active: Optional["Sanitizer"] = None
+        self._bus = bus
         self.strict = True
         self.violations: List[Violation] = []
         self.checks_run = 0
@@ -137,12 +141,16 @@ class Sanitizer:
         self.checks_run = 0
         self._machine_base = weakref.WeakKeyDictionary()
         self._wear_base = weakref.WeakKeyDictionary()
+        if self._bus is not None:
+            self._bus.subscribe(self.probe)
         return self
 
     def uninstall(self) -> None:
         self.active = None
         self._machine_base = weakref.WeakKeyDictionary()
         self._wear_base = weakref.WeakKeyDictionary()
+        if self._bus is not None:
+            self._bus.unsubscribe(self.probe)
 
     @contextmanager
     def installed(self, strict: bool = True):
@@ -405,27 +413,56 @@ class Sanitizer:
                        f"(the wrap move must copy too)")
 
     # ------------------------------------------------------------------
-    # Hook-point entries (call sites guard with ``active is not None``)
+    # Probe-bus entries
     # ------------------------------------------------------------------
-    def kernel_op(self, kernel, site: str) -> None:
-        """After a kernel operation (mmap/munmap/reclaim)."""
-        self.check_kernel(kernel, site=f"kernel.{site}")
-        self.check_machine(kernel.machine, site=f"kernel.{site}")
+    def probe(self, site: str, ctx: Dict) -> None:
+        """Bus subscriber: sweep the laws that belong to ``site``.
 
-    def machine_op(self, machine, site: str) -> None:
-        """After a machine-level operation (flush_all)."""
-        self.check_machine(machine, site=f"machine.{site}")
+        Violations carry the operation's name (the site without
+        ``.done``), ``gc.round`` or ``platform.run`` as their site.
+        """
+        if site.startswith("kernel.") and site.endswith(".done"):
+            kernel, op = ctx["kernel"], site[:-len(".done")]
+            self.check_kernel(kernel, site=op)
+            self.check_machine(kernel.machine, site=op)
+        elif site == "machine.flush_all.done":
+            self.check_machine(ctx["machine"], site="machine.flush_all")
+        elif site == "machine.reset_counters.done":
+            # Node counters restart from zero while cache stats keep
+            # accumulating; re-anchor the conservation-law deltas.
+            self.rebaseline(ctx["machine"])
+        elif site == "runtime.heap.chunk_acquired":
+            self.check_heap(ctx["heap"], "chunk_acquired")
+        elif site == "runtime.gc.done":
+            vm = ctx["vm"]
+            self.check_heap(vm.heap, site="gc.round")
+            self.check_kernel(vm.kernel, site="gc.round")
+            self.check_machine(vm.kernel.machine, site="gc.round")
+        elif site == "platform.barrier" and ctx["wear_tracker"] is not None:
+            # Anchor the tracker-vs-node-counter law at attach.
+            self.watch_wear(ctx["wear_tracker"])
+        elif site == "platform.run.done":
+            self.run_done(ctx["kernel"], ctx["result"], ctx["wear_tracker"])
 
-    def gc_round(self, vm) -> None:
-        """After a minor or full collection."""
-        site = "gc.round"
-        self.check_heap(vm.heap, site=site)
-        self.check_kernel(vm.kernel, site=site)
-        self.check_machine(vm.kernel.machine, site=site)
+    def run_done(self, kernel, result, wear_tracker=None) -> None:
+        """End of a platform run: attribution, then one full sweep.
 
-    def run_end(self, kernel, wear_tracker=None) -> None:
-        """End of a platform run: one full sweep."""
+        Attribution conservation is checked only on counters the
+        barrier resets — they share the profile's baseline.
+        """
         site = "platform.run"
+        if result.profile is not None:
+            nodes = kernel.machine.nodes
+            totals = {
+                "pcm.writes": result.pcm_write_lines,
+                "dram.writes": result.dram_write_lines,
+                "pcm.reads": nodes[PCM_NODE].read_lines,
+                "dram.reads": nodes[DRAM_NODE].read_lines,
+                "qpi.crossings": result.qpi_crossings,
+            }
+            attributed = {name: attributed_total(result.profile, name)
+                          for name in totals}
+            self.check_attribution(attributed, totals, site)
         self.check_kernel(kernel, site=site)
         self.check_machine(kernel.machine, site=site)
         if wear_tracker is not None:
@@ -437,6 +474,6 @@ class Sanitizer:
         self._wear_base[tracker] = node.write_lines - tracker.total_writes
 
 
-#: The process-wide sanitizer every hook point consults.  Not installed
-#: by default; hooks pay one ``is None`` check.
-SANITIZE = Sanitizer()
+#: The process-wide sanitizer, subscribed to the probe bus while
+#: installed.  Not installed by default.
+SANITIZE = Sanitizer(bus=PROBES)

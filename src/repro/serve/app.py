@@ -39,12 +39,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.faults.plan import FAULTS, FaultError
+from repro.faults.plan import FaultError
 from repro.harness.checkpoint import SweepCheckpoint
 from repro.harness.experiment import ExperimentRunner, RetryPolicy, SweepReport
 from repro.observability.log import get_logger
 from repro.observability.metrics import METRICS
 from repro.observability.trace import TRACER
+from repro.probe import PROBES
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.jobstore import JobStore
 from repro.serve.queue import AdmissionQueue
@@ -176,8 +177,8 @@ class ServeApp:
         429 with Retry-After; otherwise -> 202, journalled before the
         response is sent.
         """
-        if FAULTS.active is not None:  # fault hook: admission path
-            FAULTS.arrive("serve.admit", queue_depth=self.queue.depth)
+        if PROBES.on:
+            PROBES.fire("serve.admit", queue_depth=self.queue.depth)
         if self.draining:
             return 503, {"error": "draining; not accepting jobs"}, {}
         try:
@@ -254,9 +255,9 @@ class ServeApp:
             for attempt in range(1, self.config.job_retries + 1):
                 job.attempts = attempt
                 try:
-                    if FAULTS.active is not None:  # fault hook: dispatch
-                        FAULTS.arrive("serve.dispatch", job=job.id,
-                                      attempt=attempt)
+                    if PROBES.on:
+                        PROBES.fire("serve.dispatch", job=job.id,
+                                    attempt=attempt)
                     runner = self._runner_factory()
                     sweep = runner.submit_async(
                         keys, max_workers=self.config.max_workers,

@@ -31,9 +31,9 @@ import json
 import os
 from typing import Dict, Optional
 
-from repro.faults.plan import FAULTS
 from repro.harness.checkpoint import repair_jsonl_tail, salvage_jsonl
 from repro.observability.metrics import METRICS
+from repro.probe import PROBES
 
 #: Bump when the journal record layout changes incompatibly.
 JOURNAL_SCHEMA = "repro.serve_journal/v1"
@@ -133,8 +133,8 @@ class JobStore:
         can prove a failed store leaves the job result recoverable
         from its checkpoint.
         """
-        if FAULTS.active is not None:  # fault hook: result persistence
-            FAULTS.arrive("serve.result_write", digest=digest)
+        if PROBES.on:
+            PROBES.fire("serve.result_write", digest=digest)
         path = self.cache_path(digest)
         tmp = path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as handle:

@@ -1,7 +1,7 @@
-"""Planted hook-coverage violation; tests/analyze asserts H001.
+"""Planted probe-site violations; tests/analyze asserts H001.
 
-The path mirrors ``src/repro/kernel/vm.py`` so the module resolves to
-``repro.kernel.vm`` and the default hook-site table applies.
+The path mirrors ``src/repro/kernel/vm.py``: ``munmap`` fires neither of
+its ``repro.probe.SITES`` sites, ``retag_range`` fires an unlisted one.
 """
 
 
@@ -19,3 +19,9 @@ class Kernel:
         self.page_faults += 1
         self.migration_writes += 1
         self.migration_cycles += 1
+
+    def retag_range(self, process: object, vaddr: int) -> None:
+        from repro.probe import PROBES
+
+        if PROBES.on:
+            PROBES.fire("kernel.retag", vaddr=vaddr)

@@ -63,13 +63,23 @@ class TestPlantedViolations:
         assert "Kernel" in finding.message
 
     def test_h001_missing_hook_pair(self, planted_findings):
-        findings = planted_findings["H001"]
-        assert len(findings) == 2  # faults AND sanitize both missing
+        findings = [f for f in planted_findings["H001"]
+                    if f.symbol == "Kernel.munmap"]
+        assert len(findings) == 2  # fault AND after-op check both missing
         assert all(f.path.endswith("repro/kernel/vm.py") for f in findings)
         assert all(f.line == 9 for f in findings)
-        assert all(f.symbol == "Kernel.munmap" for f in findings)
-        kinds = {f.key.rsplit(":", 1)[-1] for f in findings}
-        assert kinds == {"faults", "sanitize"}
+        sites = {f.key.rsplit(":", 1)[-1] for f in findings}
+        assert sites == {"kernel.munmap", "kernel.munmap.done"}
+
+    def test_h001_unknown_site_literal(self, planted_findings):
+        (finding,) = [f for f in planted_findings["H001"]
+                      if f.symbol == "Kernel.retag_range"]
+        assert finding.path.endswith("repro/kernel/vm.py")
+        assert finding.line == 27
+        assert "'kernel.retag' is not listed in repro.probe.SITES" \
+            in finding.message
+        assert finding.key == ("H001::repro.kernel.vm::"
+                               "Kernel.retag_range:kernel.retag")
 
     def test_rc01_foreign_private_write(self, planted_findings):
         finding = _single(planted_findings, "RC01")
@@ -111,6 +121,22 @@ class TestPlantedViolations:
         assert finding.symbol == "unbalanced"
         assert finding.key == ("S001::repro.harness.spans_bad::"
                                "unbalanced:harness.unbalanced")
+
+    def test_s001_follows_probe_span_api(self, tmp_path):
+        module = tmp_path / "repro" / "runtime" / "spans_probe.py"
+        module.parent.mkdir(parents=True)
+        module.write_text(
+            "from repro.probe import PROBES\n"
+            "\n"
+            "\n"
+            "def collect(work) -> None:\n"
+            "    frame = PROBES.push('gc.minor')\n"
+            "    work()\n"
+            "    PROBES.pop(frame)\n")
+        (finding,) = by_rule(run_lint(module))["S001"]
+        assert finding.line == 5
+        assert finding.key == ("S001::repro.runtime.spans_probe::"
+                               "collect:gc.minor")
 
     def test_s002_discarded_frame(self, planted_findings):
         finding = _single(planted_findings, "S002")
@@ -174,13 +200,23 @@ class TestPolicyKnobs:
         findings = by_rule(run_lint(PLANTED, config=config))
         assert "RC01" not in findings
 
-    def test_hook_site_removal_silences_h001(self):
-        from repro.analyze import LintConfig
-        config = LintConfig()
-        config.hook_sites = [site for site in config.hook_sites
-                             if site[1] != "Kernel.munmap"]
-        findings = by_rule(run_lint(PLANTED, config=config))
-        assert "H001" not in findings
+    def test_hook_site_removal_silences_h001(self, tmp_path):
+        """H001 reads SITES from the linted tree's own repro/probe.py:
+        a tree whose table no longer lists munmap as firing anything
+        gets no munmap H001."""
+        import shutil
+
+        from tests.analyze.conftest import REPO_ROOT
+
+        tree = tmp_path / "repro"
+        shutil.copytree(PLANTED / "repro", tree)
+        probe = (REPO_ROOT / "src" / "repro" / "probe.py").read_text()
+        probe = probe.replace('"repro.kernel.vm::Kernel.munmap"',
+                              '"repro.kernel.vm::Kernel.gone"')
+        (tree / "probe.py").write_text(probe)
+        findings = by_rule(run_lint(tree / "kernel" / "vm.py"))
+        assert [f.symbol for f in findings["H001"]] \
+            == ["Kernel.retag_range"]
 
     def test_async_package_scope_silences_a_rules(self):
         from repro.analyze import LintConfig

@@ -3,14 +3,13 @@
 import time
 
 from tests.analyze.conftest import REPO_ROOT
-from repro.analyze import (Analyzer, Baseline, LintConfig, load_config,
-                           make_checkers)
+from repro.analyze import Analyzer, Baseline, LintConfig, make_checkers
 
 SRC = REPO_ROOT / "src" / "repro"
 
 
 def _self_host():
-    config = load_config(REPO_ROOT / "pyproject.toml")
+    config = LintConfig()
     analyzer = Analyzer(make_checkers(), config=config)
     report = analyzer.run([SRC])
     baseline = Baseline.load(REPO_ROOT / config.baseline)
@@ -46,32 +45,11 @@ class TestSelfHost:
 
 
 class TestPolicyPin:
-    """The committed pyproject block must equal the built-in defaults.
+    """Policy entries and probe sites must name code that exists.
 
-    ``load_config`` falls back to the built-ins on pre-3.11 interpreters
-    (no tomllib), so if the two drift the effective policy would depend
-    on the Python version running the linter.
+    The rules skip references they cannot resolve, so a rename would
+    otherwise silently drop coverage instead of failing.
     """
-
-    def test_pyproject_policy_matches_builtin_defaults(self):
-        loaded = load_config(REPO_ROOT / "pyproject.toml")
-        default = LintConfig()
-        assert loaded.layers == default.layers
-        assert list(loaded.crosscutting) == list(default.crosscutting)
-        assert list(loaded.hot) == list(default.hot)
-        assert loaded.counters == default.counters
-        assert list(loaded.counter_mutators) \
-            == list(default.counter_mutators)
-        assert list(loaded.engine_functions) \
-            == list(default.engine_functions)
-        assert loaded.hook_sites == default.hook_sites
-        assert loaded.paths == default.paths
-        assert loaded.baseline == default.baseline
-        assert list(loaded.async_packages) == list(default.async_packages)
-        assert loaded.parity_groups == default.parity_groups
-        assert list(loaded.test_paths) == list(default.test_paths)
-        assert list(loaded.test_select) == list(default.test_select)
-        assert list(loaded.exclude) == list(default.exclude)
 
     def test_parity_groups_name_real_classes(self):
         """Every parity-group member must resolve in the real tree —
@@ -83,7 +61,7 @@ class TestPolicyPin:
 
         from repro.analyze.graph import build_project
 
-        config = load_config(REPO_ROOT / "pyproject.toml")
+        config = LintConfig()
         analyzer = Analyzer(make_checkers(), config=config)
         modules = []
         for file in analyzer.collect([SRC]):
@@ -130,24 +108,29 @@ class TestPolicyPin:
         assert "P001::repro.machine.cache::CacheLevel.access" in keys
 
     def test_hook_sites_name_real_functions(self):
-        """Guard against config rot: every registered hook site must
-        still exist in the scanned tree (H001 skips absent functions,
-        so a renamed operation would otherwise silently lose coverage).
+        """Guard against site-table rot: every function
+        ``repro.probe.SITES`` lists must still exist in the tree (H001
+        skips absent functions, so a renamed operation would otherwise
+        silently lose coverage).
         """
         import ast
 
-        config = load_config(REPO_ROOT / "pyproject.toml")
-        for module, qualname, _hooks in config.hook_sites:
-            relpath = module.replace(".", "/") + ".py"
-            path = REPO_ROOT / "src" / relpath
-            assert path.is_file(), f"hook site module missing: {module}"
-            tree = ast.parse(path.read_text())
-            names = set()
-            for node in ast.walk(tree):
-                if isinstance(node, ast.ClassDef):
-                    for item in node.body:
-                        if isinstance(item, (ast.FunctionDef,
-                                             ast.AsyncFunctionDef)):
-                            names.add(f"{node.name}.{item.name}")
-            assert qualname in names, \
-                f"hook site {module}::{qualname} not found"
+        from repro.analyze.checkers.hooks import load_sites
+
+        sites = load_sites(REPO_ROOT / "src" / "repro" / "probe.py")
+        for site, owners in sites.items():
+            for owner in owners:
+                module, qualname = owner.split("::")
+                relpath = module.replace(".", "/") + ".py"
+                path = REPO_ROOT / "src" / relpath
+                assert path.is_file(), f"site {site}: no module {module}"
+                tree = ast.parse(path.read_text())
+                names = set()
+                for node in ast.walk(tree):
+                    if isinstance(node, ast.ClassDef):
+                        for item in node.body:
+                            if isinstance(item, (ast.FunctionDef,
+                                                 ast.AsyncFunctionDef)):
+                                names.add(f"{node.name}.{item.name}")
+                assert qualname in names, \
+                    f"site {site}: {owner} not found"

@@ -29,7 +29,7 @@ from repro.machine.nativekernel import load_native_kernel
 
 class TestRegistry:
     def test_registry_names(self):
-        assert engine_names() == ("perline", "batched", "columnar", "jit")
+        assert engine_names() == ("perline", "batched", "columnar")
 
     def test_default_engine(self, monkeypatch):
         monkeypatch.delenv(ENGINE_ENV, raising=False)
@@ -59,15 +59,6 @@ class TestRegistry:
         text = describe_engines()
         for name in engine_names():
             assert name in text
-
-    def test_jit_degrades_along_kernel_chain(self):
-        # numba is optional; whatever loaded, the engine must resolve
-        # and record its provenance honestly.
-        engine = resolve_engine("jit")
-        assert engine.columnar
-        assert engine.requested == "jit"
-        assert engine.kernel_name in ("numba", "native", "python")
-        assert engine.kernel is not None
 
     def test_columnar_kernel_provenance(self):
         engine = resolve_engine("columnar")
