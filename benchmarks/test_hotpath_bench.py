@@ -1,13 +1,13 @@
 """Hot-path engine gate: the access-engine matrix, speed + identity.
 
-The non-oracle access engines (``batched`` fused loops, the ``columnar``
-numpy/C batch kernels) exist purely to make the simulator faster; they
-must not change a single simulated counter.  This gate drives identical
-access traces through every engine on identically built machines and
-asserts the full architectural state — per-node read/write lines,
-per-tag write attribution, private-cache and LLC stats, QPI crossings,
-and thread cycles — comes out *bit-identical* to the per-line oracle,
-while each engine clears its recorded speed floor.
+The columnar engine (numpy state matrices plus C batch kernels) exists
+purely to make the simulator faster; it must not change a single
+simulated counter.  This gate drives identical access traces through
+both engines on identically built machines and asserts the full
+architectural state — per-node read/write lines, per-tag write
+attribution, private-cache and LLC stats, QPI crossings, and thread
+cycles — comes out *bit-identical* to the per-line oracle, while the
+columnar engine clears its speed floor.
 
 Results land in ``BENCH_hotpath.json`` at the repo root (uploaded as a
 CI artifact).  The headline number is the columnar engine on the
@@ -16,13 +16,9 @@ lmbench isolates syscall cost.  Every speedup is a within-run ratio
 (oracle and candidate timed back to back in the same process) because
 absolute wall times on shared CI runners are too noisy to gate on.
 
-Floors:
-
-* ``batched`` — per-scenario floors at 80% of the recorded speedup
-  (a >20% regression on any scenario fails the gate).
-* ``columnar`` — a flat 10x floor on every scenario, enforced when the
-  compiled C kernel is available (the interpreted numpy fallback stays
-  counter-identical but is not speed-gated).
+Floor: a flat 10x on every scenario, enforced when the compiled C
+kernel is available (the interpreted fallback stays counter-identical
+but is not speed-gated).
 """
 
 import json
@@ -49,16 +45,6 @@ BENCH_PATH = os.path.join(REPO_ROOT, "BENCH_hotpath.json")
 BASE = 0x100000
 #: Pages mapped per node for the microbenchmark traces.
 PAGES_PER_NODE = 512
-
-#: Per-scenario floors for the batched engine: 80% of the speedup
-#: recorded in BENCH_hotpath.json on the reference container, so a
-#: >20% regression on any scenario fails the gate.
-BATCHED_FLOORS = {
-    "hot_page": 2.3,
-    "llc_set": 1.28,
-    "stream": 1.39,
-    "mixed": 1.25,
-}
 
 #: The columnar engine's flat floor, every scenario, when the compiled
 #: C kernel is loaded.
@@ -188,7 +174,7 @@ def _columnar_is_native():
 
 def test_engine_matrix_identical_and_faster():
     """The gate: bit-identical counters per engine, recorded speedups."""
-    engines = ["batched", "columnar"]
+    engines = ["columnar"]
     report = {
         "benchmark": "hotpath",
         "headline_scenario": "hot_page",
@@ -223,7 +209,6 @@ def test_engine_matrix_identical_and_faster():
                 "speedup": round(baseline_seconds / engine_seconds, 3),
                 "identical_counters": True,
             }
-        entry["batched"]["floor"] = BATCHED_FLOORS[name]
         entry["columnar"]["floor"] = COLUMNAR_FLOOR
         report["scenarios"][name] = entry
     headline = report["scenarios"]["hot_page"]["columnar"]["speedup"]
@@ -233,10 +218,6 @@ def test_engine_matrix_identical_and_faster():
         handle.write("\n")
     speed_gate_columnar = _columnar_is_native()
     for name, entry in report["scenarios"].items():
-        batched = entry["batched"]["speedup"]
-        assert batched >= BATCHED_FLOORS[name], (
-            f"{name}: batched speedup {batched:.2f}x regressed below the "
-            f"{BATCHED_FLOORS[name]}x floor (recorded * 0.8)")
         columnar = entry["columnar"]["speedup"]
         if speed_gate_columnar:
             assert columnar >= COLUMNAR_FLOOR, (
@@ -258,7 +239,7 @@ def _run_fop(engine):
     return platform.run(make_app, collector="KG-W", instances=1)
 
 
-@pytest.mark.parametrize("engine", ["batched", "columnar"])
+@pytest.mark.parametrize("engine", ["columnar"])
 def test_platform_results_identical_to_per_line_engine(engine):
     """End-to-end: a whole measured run matches the per-line oracle."""
     baseline = _run_fop("perline")

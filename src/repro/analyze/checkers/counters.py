@@ -11,8 +11,8 @@ module silently changes ground truth without tripping any invariant.
 
 * from a method of the counter's owning class (``self.hits += n`` in
   ``CacheLevel``, including through a ``stats = self.stats`` alias), or
-* from a function declared in ``counter-mutators`` — the batched
-  engine's fused loops, where the trade is explicit and fuzzed.
+* from a function declared in ``counter-mutators`` — the access
+  engines' inner loops, where the trade is explicit and fuzzed.
 
 Everything else should go through a mutator method on the owner (e.g.
 ``Kernel.count_page_fault``), which keeps the set of sites that can

@@ -1,8 +1,8 @@
 """Engine API-parity checker (P001, P002) — interprocedural.
 
-The three access engines (perline, batched, columnar) are
-substitutable behind the engine registry, and the differential fuzzer
-drives any pair against each other.  That only works while their
+The access engines (perline, columnar) are substitutable behind the
+engine registry, and the differential fuzzer drives one against the
+other.  That only works while their
 cache/core classes expose the same public surface: a method added to
 one engine but not the others is drift the fuzzer cannot exercise, and
 the next caller will special-case an engine — the exact failure mode

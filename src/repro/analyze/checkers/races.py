@@ -1,9 +1,8 @@
 """Race-pattern checker (RC01).
 
-The batched access engine's ownership protocol is documented, not
-enforced: during ``access_run`` one ``CorePath`` owns the cache
-internals it manipulates, and nothing else may touch another object's
-private state.  Since the parallel sweep forks workers, a write to a
+An access engine's ownership protocol is documented, not enforced:
+one object owns the cache internals it manipulates, and nothing else
+may touch another object's private state.  Since the parallel sweep forks workers, a write to a
 foreign object's underscore attribute from an unexpected site is the
 classic "worked single-threaded" latent race — state shared through an
 object graph mutated outside the owner's methods.
@@ -72,7 +71,7 @@ class RacePatternChecker(Checker):
         return [ctx.finding(
             "RC01", target,
             f"write to foreign private state {holder}.{attr} outside "
-            f"the batched engine's ownership protocol; move the "
+            f"the engine's ownership protocol; move the "
             f"mutation into a method of the owner or declare this "
             f"function in engine-functions",
             token=f"{ctx.qualname()}:{attr}")]

@@ -18,7 +18,7 @@ Policy pieces:
   Augmented/plain assignment to a registered counter outside its owning
   class must come from a declared mutator (``C001``).
 * **counter_mutators** — ``module::Qual.name`` functions allowed to
-  mutate foreign counters (the batched engine's fused loops).
+  mutate foreign counters (the access engines' inner loops).
 * **engine_functions** — functions allowed to reach into another
   object's private attributes (``RC01``'s ownership protocol).
 * **async_packages** — packages whose ``async def`` bodies must never
@@ -108,22 +108,19 @@ DEFAULT_COUNTERS: Dict[str, List[str]] = {
     "wear": ["WearTracker"],
 }
 
-#: Functions allowed to mutate foreign registered counters: the batched
-#: access engine's fused loops, where the method-call discipline is
+#: Functions allowed to mutate foreign registered counters: the access
+#: engines' inner loops, where the method-call discipline is
 #: deliberately traded away (counter-identity is proven by the
 #: differential fuzzer instead).
 DEFAULT_COUNTER_MUTATORS: Tuple[str, ...] = (
     "repro.machine.numa::CorePath.access_line",
-    "repro.machine.numa::CorePath.access_run",
     "repro.machine.colengine::ColumnarCorePath.flush_pending",
 )
 
-#: Functions allowed to touch another object's private attributes —
-#: the batched engine's ownership protocol (one CorePath owns the
-#: cache dicts it manipulates for the duration of a run).
-DEFAULT_ENGINE_FUNCTIONS: Tuple[str, ...] = (
-    "repro.machine.numa::CorePath.access_run",
-)
+#: Functions allowed to touch another object's private attributes (an
+#: engine's ownership protocol).  None today: the columnar engine keeps
+#: its queues on the path that owns them.
+DEFAULT_ENGINE_FUNCTIONS: Tuple[str, ...] = ()
 
 #: Packages whose coroutines run on the serve event loop: blocking
 #: calls reachable from an ``async def`` here stall every in-flight
@@ -133,10 +130,9 @@ DEFAULT_ASYNC_PACKAGES: Tuple[str, ...] = ("repro.serve",)
 
 #: Engine API-parity groups: each group names classes (by
 #: ``module::QualName``) whose *public* method names and arities must
-#: match, so the perline/batched/columnar engines cannot drift as
-#: new engines land.  CacheStats is the shared stats struct and the
-#: perline CacheLevel is the reference; ColumnarCacheLevel overrides
-#: its whole surface.  CorePath (perline+batched fused loops) pairs
+#: match, so the perline and columnar engines cannot drift apart.
+#: The perline CacheLevel is the reference; ColumnarCacheLevel
+#: overrides its whole surface.  CorePath (the per-line path) pairs
 #: with ColumnarCorePath.
 DEFAULT_PARITY_GROUPS: Dict[str, List[str]] = {
     "engine-cache": [

@@ -55,7 +55,7 @@ def _add_measurement_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--engine", default=None,
                         choices=list(engine_names()),
                         help="cache access engine (default: "
-                             "$REPRO_ENGINE or 'batched')")
+                             "$REPRO_ENGINE or 'columnar')")
     parser.add_argument("--placement", default=None,
                         choices=list(placement_names()),
                         help="kernel page-placement policy (default: "
@@ -164,10 +164,10 @@ def _build_parser() -> argparse.ArgumentParser:
                          "sanitizer; shrink any divergence")
     sanitize.add_argument("--seed", type=int, default=0,
                           help="base RNG seed (trial i uses seed+i)")
-    sanitize.add_argument("--engine", default="batched",
-                          help="engine under test: perline, batched, "
-                               "columnar, or 'oracle' (alias for "
-                               "perline); default: batched")
+    sanitize.add_argument("--engine", default="columnar",
+                          help="engine under test: columnar, perline, "
+                               "or 'oracle' (alias for perline); "
+                               "default: columnar")
     sanitize.add_argument("--reference", default="perline",
                           help="reference engine to diff against "
                                "(default: perline)")

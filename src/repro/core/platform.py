@@ -165,8 +165,10 @@ def _counter_snapshot(machine, kernel: Kernel) -> Dict[str, int]:
     Names here define the counter vocabulary of the profile artifact:
     headline node counters, per-socket LLC/memory counters (``by
     socket`` view), and per-heap-tag write counters (``by space``
-    view).  All monotonic between barrier resets.
+    view).  All monotonic between barrier resets.  Queued lines are
+    landed first, so they are charged to the phase that issued them.
     """
+    machine.sync_engines()
     pcm = machine.nodes[PCM_NODE]
     dram = machine.nodes[DRAM_NODE]
     snap: Dict[str, int] = {

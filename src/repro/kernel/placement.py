@@ -34,7 +34,8 @@ degrade to per-line delivery when listeners are present, so every
 engine reports the same per-page counts), and migrations happen inside
 :meth:`Kernel.placement_tick` / :meth:`Kernel.migrate_page`, which run
 ``sync_engines()`` first — never from inside an access, where the
-batched engines hold cached translations.
+threads hold cached translations and the columnar engine holds queued
+physical lines.
 """
 
 from __future__ import annotations

@@ -3,12 +3,13 @@
 A :class:`Process` owns a page table and a set of :class:`SimThread`
 contexts.  ``SimThread.access`` is the single hottest function in the
 whole simulator: every mutator and collector byte-touch funnels through
-it, so it inlines the page-table walk.
+it, so the default engine's override (:class:`ColumnarSimThread`)
+inlines both the page-table walk and the run enqueue.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List, Optional, Type
 
 from repro.kernel.pagetable import (
     LINE_OFFSET_MASK,
@@ -23,7 +24,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class SimThread:
-    """One executing context: a core access path plus a cycle counter."""
+    """One executing context: a core access path plus a cycle counter.
+
+    The base class holds what every engine shares; the access entry
+    points live in the engine's thread class (see
+    :meth:`Process.spawn_thread`): :class:`PerLineSimThread` for the
+    oracle, :class:`ColumnarSimThread` for the default engine.
+    """
 
     def __init__(self, thread_id: int, process: "Process",
                  core_path: "CorePath") -> None:
@@ -44,77 +51,28 @@ class SimThread:
 
     def access(self, vaddr: int, size: int, is_write: bool) -> int:
         """Touch ``size`` bytes at ``vaddr``; returns cycles spent."""
-        first = vaddr >> 6
-        if first != (vaddr + size - 1) >> 6:
-            return self.access_block(vaddr, size, is_write)
-        # Single-line fast path: one TLB probe, one access_line call.
-        table = self.process.page_table
-        vpage = first >> LINES_PER_PAGE_SHIFT
-        if vpage != self._tlb_vpage or table.epoch != self._tlb_epoch:
-            base = table.line_base_map.get(vpage)
-            if base is None:
-                # fault_in counts the fault, then backs a reserved page
-                # (lazy policies) or raises PageFault with this vaddr.
-                base = self.process.kernel.fault_in(
-                    self.process, vpage, self.socket_id, first << 6)
-            self._tlb_vpage = vpage
-            self._tlb_base = base
-            self._tlb_epoch = table.epoch
-        cycles = self.core_path.access_line(
-            self._tlb_base + (first & LINE_OFFSET_MASK), is_write)
-        self.cycles += cycles
-        return cycles
+        raise NotImplementedError
 
     def access_block(self, vaddr: int, size: int, is_write: bool) -> int:
-        """Touch ``size`` bytes at ``vaddr`` through the batched engine.
+        """Touch a multi-line block (same contract as :meth:`access`)."""
+        return self.access(vaddr, size, is_write)
 
-        Counter-identical to :meth:`access_per_line`, but the page-table
-        walk happens once per page (with the software TLB short-cutting
-        repeats) and each page-contiguous run of lines goes through
-        :meth:`~repro.machine.numa.CorePath.access_run` in one call.
-        """
-        table = self.process.page_table
-        line_map = table.line_base_map
-        access_run = self.core_path.access_run
-        first = vaddr >> 6
-        last = (vaddr + size - 1) >> 6
-        epoch = table.epoch
-        tlb_vpage = self._tlb_vpage if epoch == self._tlb_epoch else -1
-        tlb_base = self._tlb_base
-        cycles = 0
-        while first <= last:
-            vpage = first >> LINES_PER_PAGE_SHIFT
-            if vpage == tlb_vpage:
-                base = tlb_base
-            else:
-                base = line_map.get(vpage)
-                if base is None:
-                    # Like the per-line path: earlier runs of this block
-                    # have already touched the caches; if fault_in
-                    # raises, the faulting run's cycles are discarded
-                    # with the exception.  A serviced fault (lazy
-                    # policies) returns the fresh frame's line base and
-                    # the block continues.
-                    base = self.process.kernel.fault_in(
-                        self.process, vpage, self.socket_id, first << 6)
-                tlb_vpage = vpage
-                tlb_base = base
-            offset = first & LINE_OFFSET_MASK
-            count = min(last - first, LINE_OFFSET_MASK - offset) + 1
-            cycles += access_run(base + offset, count, is_write)
-            first += count
-        self._tlb_vpage = tlb_vpage
-        self._tlb_base = tlb_base
-        self._tlb_epoch = epoch
+    def compute(self, cycles: int) -> None:
+        """Account non-memory work (the latency model's op cost)."""
         self.cycles += cycles
-        return cycles
 
-    def access_per_line(self, vaddr: int, size: int, is_write: bool) -> int:
-        """Reference per-line engine (the pre-batching implementation).
 
-        Kept as the baseline the hot-path benchmark times against and
-        the oracle the equivalence tests compare counters with.
-        """
+class PerLineSimThread(SimThread):
+    """Oracle thread: every line goes through ``CorePath.access_line``.
+
+    Registered for the ``perline`` engine (and used by machines built
+    without an engine), so the differential fuzzer's reference side is
+    an engine selection rather than a special-cased dispatch in the
+    replayer.
+    """
+
+    def access(self, vaddr: int, size: int, is_write: bool) -> int:
+        """Touch ``size`` bytes at ``vaddr``, one line at a time."""
         line_map = self.process.page_table.line_base_map
         access_line = self.core_path.access_line
         first = vaddr >> 6
@@ -123,6 +81,9 @@ class SimThread:
         for vline in range(first, last + 1):
             base = line_map.get(vline >> LINES_PER_PAGE_SHIFT)
             if base is None:
+                # fault_in counts the fault, then backs a reserved page
+                # (lazy policies) or raises PageFault with this vaddr;
+                # a raise discards the block's cycles so far.
                 base = self.process.kernel.fault_in(
                     self.process, vline >> LINES_PER_PAGE_SHIFT,
                     self.socket_id, vline << 6)
@@ -130,35 +91,17 @@ class SimThread:
         self.cycles += cycles
         return cycles
 
-    def compute(self, cycles: int) -> None:
-        """Account non-memory work (the latency model's op cost)."""
-        self.cycles += cycles
-
-
-class PerLineSimThread(SimThread):
-    """Oracle thread: every access goes through the per-line path.
-
-    Registered for the ``perline`` engine so the differential fuzzer's
-    reference side is an engine selection rather than a special-cased
-    dispatch in the replayer.
-    """
-
-    def access(self, vaddr: int, size: int, is_write: bool) -> int:
-        return self.access_per_line(vaddr, size, is_write)
-
-    def access_block(self, vaddr: int, size: int, is_write: bool) -> int:
-        return self.access_per_line(vaddr, size, is_write)
+    access_block = access
 
 
 class ColumnarSimThread(SimThread):
-    """Thread for the columnar engines: accesses enqueue, cycles defer.
+    """Thread for the columnar engine: accesses enqueue, cycles defer.
 
     ``ColumnarCorePath`` queues runs instead of executing them, so the
     per-access returns are zero and real cycle counts only exist after
     a queue flush (the path credits ``_cycles_v`` directly).  Reading
-    ``cycles`` therefore syncs this thread's queue first; the hot-path
-    overrides below are the base implementations minus the
-    ``self.cycles`` read-modify-write, which would otherwise trigger
+    ``cycles`` therefore syncs this thread's queue first; the hot path
+    below never touches ``self.cycles``, which would otherwise trigger
     that sync on every access.
     """
 
@@ -307,21 +250,6 @@ class ColumnarSimThread(SimThread):
         cp.flush_pending()
         self._cycles_v = before
 
-    def access_per_line(self, vaddr: int, size: int, is_write: bool) -> int:
-        """Reference per-line walk (deferred: every line is a 1-run)."""
-        line_map = self.process.page_table.line_base_map
-        access_line = self.core_path.access_line
-        first = vaddr >> 6
-        last = (vaddr + size - 1) >> 6
-        for vline in range(first, last + 1):
-            base = line_map.get(vline >> LINES_PER_PAGE_SHIFT)
-            if base is None:
-                base = self.process.kernel.fault_in(
-                    self.process, vline >> LINES_PER_PAGE_SHIFT,
-                    self.socket_id, vline << 6)
-            access_line(base + (vline & LINE_OFFSET_MASK), is_write)
-        return 0
-
 
 class Process:
     """A managed or native application instance.
@@ -350,21 +278,18 @@ class Process:
     def spawn_thread(self, socket_id: Optional[int] = None) -> SimThread:
         """Create a thread bound to ``socket_id`` (default: affinity).
 
-        The thread class follows the machine's access engine: columnar
-        engines defer cycles (``ColumnarSimThread``), the ``perline``
-        engine routes everything through the oracle walk, and the
-        default ``batched`` engine uses the base class.
+        The thread class follows the machine's access engine: the
+        default ``columnar`` engine defers cycles (``ColumnarSimThread``);
+        the ``perline`` engine, and machines built without an engine,
+        route everything through the oracle walk.
         """
         socket = self.affinity_socket if socket_id is None else socket_id
         machine = self.kernel.machine
         core_path = machine.make_core(socket)
         engine = machine.engine
-        thread_cls = SimThread
-        if engine is not None:
-            if engine.columnar:
-                thread_cls = ColumnarSimThread
-            elif engine.name == "perline":
-                thread_cls = PerLineSimThread
+        thread_cls: Type[SimThread] = PerLineSimThread
+        if engine is not None and engine.columnar:
+            thread_cls = ColumnarSimThread
         thread = thread_cls(self._next_tid, self, core_path)
         self._next_tid += 1
         self.threads.append(thread)

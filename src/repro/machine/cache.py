@@ -121,7 +121,7 @@ class CacheLevel:
         #: writes == dirty evictions + flush write-backs).
         self.flushed_dirty = 0
         #: Core path with queued deferred runs targeting this level.
-        #: Always ``None`` for the per-line engines; the columnar engine
+        #: Always ``None`` for the per-line engine; the columnar engine
         #: uses it as its shared-LLC serialisation token, and
         #: ``NumaMachine.sync_engines`` flushes through it.
         self.pending_path: Optional["ColumnarCorePath"] = None
@@ -166,45 +166,6 @@ class CacheLevel:
                 stats.dirty_evictions += 1
         cache_set[tag] = is_write
         return False, victim_line, victim_dirty
-
-    def access_run(self, first_line: int, count: int,
-                   is_write: bool) -> Tuple[int, List[int]]:
-        """Access ``count`` consecutive lines starting at ``first_line``.
-
-        Bulk equivalent of calling :meth:`access` once per line, in
-        ascending order, but with all the set-dict manipulation kept in
-        one Python frame.  Returns ``(hits, dirty_victims)`` where
-        ``dirty_victims`` lists the dirty lines evicted, in eviction
-        order (clean victims are dropped — callers only propagate
-        write-backs).  Stats end up bit-identical to the per-line path.
-        """
-        sets = self._sets
-        num_sets = self.num_sets
-        assoc = self.assoc
-        hits = 0
-        evictions = 0
-        dirty_victims: List[int] = []
-        for line in range(first_line, first_line + count):
-            set_index = line % num_sets
-            tag = line // num_sets
-            cache_set = sets[set_index]
-            dirty = cache_set.pop(tag, None)
-            if dirty is not None:
-                cache_set[tag] = dirty or is_write
-                hits += 1
-                continue
-            if len(cache_set) >= assoc:
-                victim_tag = next(iter(cache_set))
-                evictions += 1
-                if cache_set.pop(victim_tag):
-                    dirty_victims.append(victim_tag * num_sets + set_index)
-            cache_set[tag] = is_write
-        stats = self.stats
-        stats.hits += hits
-        stats.misses += count - hits
-        stats.evictions += evictions
-        stats.dirty_evictions += len(dirty_victims)
-        return hits, dirty_victims
 
     def install_dirty(self, line: int) -> Tuple[Optional[int], bool]:
         """Install ``line`` as dirty (an incoming write-back from above).

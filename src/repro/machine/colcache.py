@@ -27,7 +27,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.machine import pykernel
 from repro.machine.cache import CacheLevel, CacheStats, validate_geometry
 
 
@@ -60,6 +59,14 @@ class ColumnarCacheLevel(CacheLevel):
         self.age = np.zeros((num_sets, assoc), dtype=np.int64)
         #: Monotonic LRU clock; every touch stamps a unique age.
         self.clock = 0
+        # The matrices are only ever mutated in place (``flush`` fills
+        # them), so batch kernels bind these flat views and addresses
+        # once, for the life of the cache.
+        #: (tags, dirty, age) as flat views, for the interpreted kernel.
+        self.flat = (self.tags.reshape(-1), self.dirty.reshape(-1),
+                     self.age.reshape(-1))
+        #: (tags, dirty, age) data addresses, for the C kernel.
+        self.addresses = tuple(view.ctypes.data for view in self.flat)
 
     # ------------------------------------------------------------------
     # Scalar operations (cold paths; dict-engine semantics, verbatim)
@@ -143,36 +150,6 @@ class ColumnarCacheLevel(CacheLevel):
         self.dirty[set_index, way] = 1
         self._stamp(set_index, way)
         return victim_line, victim_dirty
-
-    def access_run(self, first_line: int, count: int,
-                   is_write: bool) -> Tuple[int, List[int]]:
-        """Access ``count`` consecutive lines through the batch kernel.
-
-        Counter-identical to :meth:`CacheLevel.access_run`; returns
-        ``(hits, dirty_victims)`` with victims in eviction order.
-        """
-        if count <= 0:
-            return 0, []
-        scal = np.array([1, 0, 0, self.num_sets, self.assoc, 0, 0,
-                         0, self.clock, 0], dtype=np.int64)
-        runs = np.array([first_line, count, 1 if is_write else 0, 0, 0, 0],
-                        dtype=np.int64)
-        victims = np.empty(2 * count + 8, dtype=np.int64)
-        out = np.zeros(pykernel.OUT_SIZE, dtype=np.int64)
-        dummy_t = np.empty(0, dtype=np.int64)
-        dummy_d = np.empty(0, dtype=np.uint8)
-        pykernel.run_batch(scal, runs, dummy_t, dummy_d, dummy_t,
-                           self.tags.reshape(-1), self.dirty.reshape(-1),
-                           self.age.reshape(-1), victims, out)
-        self.clock = int(out[pykernel.OUT_L_CLOCK])
-        hits = int(out[pykernel.OUT_L_HITS])
-        stats = self.stats
-        stats.hits += hits
-        stats.misses += int(out[pykernel.OUT_L_MISSES])
-        stats.evictions += int(out[pykernel.OUT_L_EVICTIONS])
-        stats.dirty_evictions += int(out[pykernel.OUT_L_DIRTY])
-        dirty_victims = victims[:int(out[pykernel.OUT_N_VICTIMS])].tolist()
-        return hits, dirty_victims
 
     # ------------------------------------------------------------------
     # Enumeration (set-major, age-ascending == dict insertion order)

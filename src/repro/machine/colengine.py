@@ -1,15 +1,18 @@
 """Columnar core path: deferred access runs flushed through batch kernels.
 
 :class:`ColumnarCorePath` replaces :class:`CorePath`'s per-line Python
-work with a per-run *enqueue*: each ``access_line``/``access_run`` call
-appends ``(first_line, count, is_write)`` to a queue and returns
-immediately.  When the queue fills — or any observer needs consistent
-counters — the whole queue is executed by one batch-kernel call
-(interpreted or C; see :mod:`repro.machine.pykernel` for the
-contract), and the resulting counter deltas are applied to the same
-``CacheStats`` / ``MemoryNode`` / machine counters the per-line engine
-mutates.  Because the kernel runs the per-line algorithm verbatim over
-the columnar state, every counter is bit-identical at every sync point.
+work with a per-run *enqueue*: each run appends ``(first_line, count,
+is_write)`` to three typed queues and returns immediately (the hot
+enqueue is inlined in ``ColumnarSimThread.access``).  When the queue
+fills — or any observer needs consistent counters — the whole queue is
+executed by one batch-kernel call (interpreted or C; see
+:mod:`repro.machine.pykernel` for the contract), and the resulting
+counter deltas are applied to the same ``CacheStats`` / ``MemoryNode``
+/ machine counters the per-line engine mutates.  The kernel reads the
+queues in place: the C kernel gets their addresses, the interpreted
+one the ``array('q')`` objects, so a flush builds no arrays.  Because
+the kernel runs the per-line algorithm verbatim over the columnar
+state, every counter is bit-identical at every sync point.
 
 Two orderings make deferral safe:
 
@@ -20,7 +23,8 @@ Two orderings make deferral safe:
   path flushes that owner first.  Within a path, queue order is program
   order by construction.
 * **Sync points.**  Everything that observes machine state — counter
-  reads, invariant checks, frame remapping, flushes — calls
+  reads, profiler snapshots, invariant checks, frame remapping,
+  flushes — calls
   :meth:`NumaMachine.sync_engines` first, which flushes every socket's
   owner.  Page-table changes must sync too: queued runs hold physical
   line addresses, so remapping a frame before the queue drains would
@@ -33,10 +37,11 @@ time; the thread's ``cycles`` property syncs before reading.
 from __future__ import annotations
 
 from array import array
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.machine import pykernel
 from repro.machine.colcache import ColumnarCacheLevel
 from repro.machine.memory import NODE_LINE_SHIFT
 from repro.machine.nativekernel import KernelFn
@@ -57,6 +62,7 @@ from repro.machine.pykernel import (
     OUT_QPI,
     OUT_READS_BASE,
     OUT_SIZE,
+    SCAL_SIZE,
 )
 from repro.probe import PROBES
 
@@ -65,8 +71,32 @@ MAX_PENDING_RUNS = 16384
 #: ... or this many total lines, whichever comes first.
 MAX_PENDING_LINES = 262144
 
-_EMPTY_I64 = np.empty(0, dtype=np.int64)
-_EMPTY_U8 = np.empty(0, dtype=np.uint8)
+_NO_PRIVATE = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8),
+               np.empty(0, dtype=np.int64))
+
+
+class _Victims:
+    """The kernels' victims buffer, shared by every path in the process.
+
+    Grown lazily to the largest flush seen (two entries per queued
+    line), so memory tracks the workload rather than the queue maxima.
+    Sharing is safe because the simulator is single-threaded and
+    ``memory_write_bulk`` consumes the victims before any write
+    listener can start a nested flush.
+    """
+
+    buffer = np.empty(0, dtype=np.int64)
+    address = 0
+
+    @classmethod
+    def reserve(cls, lines: int) -> np.ndarray:
+        """The buffer, grown to hold the victims of ``lines`` lines."""
+        needed = 2 * lines + 8
+        if cls.buffer.size < needed:
+            cls.buffer = np.empty(max(needed, 2 * cls.buffer.size),
+                                  dtype=np.int64)
+            cls.address = cls.buffer.ctypes.data
+        return cls.buffer
 
 
 class ColumnarCorePath(CorePath):
@@ -75,34 +105,60 @@ class ColumnarCorePath(CorePath):
     def __init__(self, machine: NumaMachine, socket: Socket,
                  private: Optional[ColumnarCacheLevel],
                  kernel: KernelFn) -> None:
-        if not isinstance(socket.llc, ColumnarCacheLevel):
+        llc = socket.llc
+        if not isinstance(llc, ColumnarCacheLevel):
             raise TypeError(
                 "ColumnarCorePath requires a columnar LLC; build the "
                 "machine with the columnar engine")
         super().__init__(machine, socket, private)
-        self._llc = socket.llc
+        self._llc = llc
         self._private = private
         self.kernel = kernel
+        #: The C kernel takes buffer addresses; the interpreted
+        #: reference takes the buffers themselves.
+        self._by_address = kernel is not pykernel.run_batch
         #: Sim-thread credited with flushed cycles (set by spawn_thread).
         self.cycle_sink: Optional[object] = None
         # Typed queues: appends are as cheap as list appends, and the
-        # flush converts them to int64 numpy views zero-copy via the
-        # buffer protocol.  Cleared in place so references stay valid.
+        # kernel reads them in place.  Cleared in place so references
+        # held by ColumnarSimThread stay valid.
         self._q_base = array("q")
         self._q_count = array("q")
         self._q_write = array("q")
         self._pending_lines = 0
         latency = machine.latency
-        self._l2_hit = latency.l2_hit
-        self._llc_hit = latency.llc_hit
-        self._lat_local = latency.memory_latency(remote=False)
-        self._lat_remote = latency.memory_latency(remote=True)
-        self._home_node = socket.memory.node_id
+        scal = array("q", [0] * SCAL_SIZE)
+        scal[3] = llc.num_sets
+        scal[4] = llc.assoc
+        scal[5] = latency.l2_hit
+        scal[6] = latency.llc_hit
+        scal[10] = socket.memory.node_id
+        scal[11] = latency.memory_latency(remote=False)
+        scal[12] = latency.memory_latency(remote=True)
+        scal[13] = NODE_LINE_SHIFT
+        if private is not None:
+            scal[1] = private.num_sets
+            scal[2] = private.assoc
+            scal[9] = 1
+        else:
+            scal[1] = scal[2] = 1
+        self._scal = scal
+        self._out = array("q", [0] * OUT_SIZE)
+        #: Private + LLC tag/dirty/age arguments, bound once per cache.
+        self._state: Tuple[object, ...]
+        if self._by_address:
+            # Null private pointers are never read (scal[9] == 0).
+            self._state = ((private.addresses if private is not None
+                            else (0, 0, 0)) + llc.addresses)
+        else:
+            self._state = ((private.flat if private is not None
+                            else _NO_PRIVATE) + llc.flat)
 
     # ------------------------------------------------------------------
-    # Enqueue (the hot path: two list appends and a counter bump)
+    # Enqueue (the hot path: three appends and a counter bump)
     # ------------------------------------------------------------------
-    def _enqueue(self, first_line: int, count: int, is_write: bool) -> None:
+    def access_line(self, line: int, is_write: bool) -> int:
+        """Queue one line; cycles are credited to ``cycle_sink`` later."""
         llc = self._llc
         if llc.pending_path is not self:
             # Another path on this socket holds queued runs that must
@@ -110,24 +166,13 @@ class ColumnarCorePath(CorePath):
             if llc.pending_path is not None:
                 llc.pending_path.flush_pending()
             llc.pending_path = self
-        self._q_base.append(first_line)
-        self._q_count.append(count)
+        self._q_base.append(line)
+        self._q_count.append(1)
         self._q_write.append(1 if is_write else 0)
-        self._pending_lines += count
+        self._pending_lines += 1
         if (len(self._q_base) >= MAX_PENDING_RUNS
                 or self._pending_lines >= MAX_PENDING_LINES):
             self.flush_pending()
-
-    def access_line(self, line: int, is_write: bool) -> int:
-        """Queue one line; cycles are credited to ``cycle_sink`` later."""
-        self._enqueue(line, 1, is_write)
-        return 0
-
-    def access_run(self, first_line: int, count: int, is_write: bool) -> int:
-        """Queue one run; cycles are credited to ``cycle_sink`` later."""
-        if count <= 0:
-            return 0
-        self._enqueue(first_line, count, is_write)
         return 0
 
     # ------------------------------------------------------------------
@@ -143,81 +188,65 @@ class ColumnarCorePath(CorePath):
             # Invalidate the thread's ownership fast path; it will
             # re-register with the LLC on its next access.
             sink._owner_hint = False  # type: ignore[attr-defined]
-        n_runs = len(self._q_base)
+        q_base = self._q_base
+        n_runs = len(q_base)
         if not n_runs:
             return
         if PROBES.on:  # a fault here dies mid-batch
             PROBES.fire("machine.engine_flush", runs=n_runs)
         machine = self.machine
-        # Zero-copy views over the typed queues; consumed fully by the
-        # runs-buffer assembly below, after which the queues are reset.
-        base = np.frombuffer(self._q_base, dtype=np.int64)
-        count = np.frombuffer(self._q_count, dtype=np.int64)
-        write = np.frombuffer(self._q_write, dtype=np.int64)
-        total_lines = self._pending_lines
-
-        node = base >> NODE_LINE_SHIFT
-        remote = (node != self._home_node).astype(np.int64)
-        runs = np.empty(n_runs * 6, dtype=np.int64)
-        runs[0::6] = base
-        runs[1::6] = count
-        runs[2::6] = write
-        runs[3::6] = np.where(remote != 0, self._lat_remote, self._lat_local)
-        runs[4::6] = node
-        runs[5::6] = remote
-        del base, count, write
-        del self._q_base[:]
-        del self._q_count[:]
-        del self._q_write[:]
+        private = self._private
+        q_count, q_write = self._q_count, self._q_write
+        scal = self._scal
+        scal[0] = n_runs
+        if private is not None:
+            scal[7] = private.clock
+        scal[8] = llc.clock
+        victims = _Victims.reserve(self._pending_lines)
+        out = self._out
+        if self._by_address:
+            # The queues may have moved since the last flush (appends
+            # reallocate), so their addresses are taken afresh.
+            self.kernel(scal.buffer_info()[0], q_base.buffer_info()[0],
+                        q_count.buffer_info()[0], q_write.buffer_info()[0],
+                        *self._state, _Victims.address,
+                        out.buffer_info()[0])
+        else:
+            self.kernel(scal, q_base, q_count, q_write, *self._state,
+                        victims, out)
+        del q_base[:]
+        del q_count[:]
+        del q_write[:]
         self._pending_lines = 0
 
-        private = self._private
-        if private is not None:
-            scal = np.array(
-                [n_runs, private.num_sets, private.assoc,
-                 llc.num_sets, llc.assoc, self._l2_hit, self._llc_hit,
-                 private.clock, llc.clock, 1], dtype=np.int64)
-            pt = private.tags.reshape(-1)
-            pd = private.dirty.reshape(-1)
-            pa = private.age.reshape(-1)
-        else:
-            scal = np.array(
-                [n_runs, 1, 1, llc.num_sets, llc.assoc,
-                 self._l2_hit, self._llc_hit, 0, llc.clock, 0],
-                dtype=np.int64)
-            pt, pd, pa = _EMPTY_I64, _EMPTY_U8, _EMPTY_I64
-        victims = np.empty(2 * total_lines + 8, dtype=np.int64)
-        out = np.zeros(OUT_SIZE, dtype=np.int64)
-        self.kernel(scal, runs, pt, pd, pa,
-                    llc.tags.reshape(-1), llc.dirty.reshape(-1),
-                    llc.age.reshape(-1), victims, out)
-
+        # Every out slot is read before memory_write_bulk: write
+        # listeners run inside it and may start a nested flush.
         if private is not None:
             p_stats = private.stats
-            p_stats.hits += int(out[OUT_P_HITS])
-            p_stats.misses += int(out[OUT_P_MISSES])
-            p_stats.evictions += int(out[OUT_P_EVICTIONS])
-            p_stats.dirty_evictions += int(out[OUT_P_DIRTY])
-            private.clock = int(out[OUT_P_CLOCK])
+            p_stats.hits += out[OUT_P_HITS]
+            p_stats.misses += out[OUT_P_MISSES]
+            p_stats.evictions += out[OUT_P_EVICTIONS]
+            p_stats.dirty_evictions += out[OUT_P_DIRTY]
+            private.clock = out[OUT_P_CLOCK]
         l_stats = llc.stats
-        l_stats.hits += int(out[OUT_L_HITS])
-        l_stats.misses += int(out[OUT_L_MISSES])
-        l_stats.evictions += int(out[OUT_L_EVICTIONS])
-        l_stats.dirty_evictions += int(out[OUT_L_DIRTY])
-        llc.clock = int(out[OUT_L_CLOCK])
-        machine.qpi_crossings += int(out[OUT_QPI])
-        for node_id in range(len(machine.nodes)):
-            reads = int(out[OUT_READS_BASE + node_id])
+        l_stats.hits += out[OUT_L_HITS]
+        l_stats.misses += out[OUT_L_MISSES]
+        l_stats.evictions += out[OUT_L_EVICTIONS]
+        l_stats.dirty_evictions += out[OUT_L_DIRTY]
+        llc.clock = out[OUT_L_CLOCK]
+        machine.qpi_crossings += out[OUT_QPI]
+        nodes = machine.nodes
+        for node_id in range(len(nodes)):
+            reads = out[OUT_READS_BASE + node_id]
             if reads:
-                machine.nodes[node_id].read_lines += reads
-        n_victims = int(out[OUT_N_VICTIMS])
-        if n_victims:
-            machine.memory_write_bulk(victims[:n_victims])
-        sink = self.cycle_sink
+                nodes[node_id].read_lines += reads
+        n_victims = out[OUT_N_VICTIMS]
         if sink is not None:
             # Direct credit to the thread's cycle store; going through
             # the ``cycles`` property would recurse into this flush.
-            sink._cycles_v += int(out[OUT_CYCLES])  # type: ignore[attr-defined]
+            sink._cycles_v += out[OUT_CYCLES]  # type: ignore[attr-defined]
+        if n_victims:
+            machine.memory_write_bulk(victims[:n_victims])
 
     def drain(self) -> None:
         """Flush the private cache into the LLC (end-of-run hygiene)."""

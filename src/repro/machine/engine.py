@@ -1,6 +1,6 @@
-"""Access-engine registry: per-line oracle, batched, columnar.
+"""Access-engine registry: the per-line oracle and the columnar engine.
 
-The simulator has three interchangeable *access engines* — ways of
+The simulator has two interchangeable *access engines* — ways of
 pushing the same access stream through the same cache model with
 bit-identical counters:
 
@@ -8,19 +8,17 @@ bit-identical counters:
     The per-line oracle: every line goes through
     ``CacheLevel.access`` / ``CorePath.access_line`` individually.
     Slowest; the differential-fuzz reference.
-``batched``
-    The default dict-based engine: page-runs go through the fused
-    ``access_run`` loops (one Python frame per run).
 ``columnar``
-    Cache state in numpy tag/dirty/age matrices; runs are queued and
-    executed by a batch kernel — a small compiled C kernel when a host
-    compiler is available (see :mod:`repro.machine.nativekernel`), else
-    the interpreted reference kernel (the resolved :class:`Engine`
-    records which one loaded in ``kernel_name``).
+    The default.  Cache state in numpy tag/dirty/age matrices; runs are
+    queued and executed by a batch kernel — a small compiled C kernel
+    when a host compiler is available (see
+    :mod:`repro.machine.nativekernel`), else the interpreted reference
+    kernel, which is several times slower (the resolved
+    :class:`Engine` records which one loaded in ``kernel_name``).
 
 Selection: explicit ``engine=`` arguments (``repro run --engine ...``)
 win over the ``REPRO_ENGINE`` environment variable, which wins over the
-default (``batched``).
+default (``columnar``).
 """
 
 from __future__ import annotations
@@ -39,13 +37,12 @@ from repro.machine.numa import CorePath, NumaMachine, Socket
 #: Environment variable consulted when no explicit engine is given.
 ENGINE_ENV = "REPRO_ENGINE"
 #: Registry order is also the CLI help order.
-ENGINE_NAMES: Tuple[str, ...] = ("perline", "batched", "columnar")
-DEFAULT_ENGINE = "batched"
+ENGINE_NAMES: Tuple[str, ...] = ("perline", "columnar")
+DEFAULT_ENGINE = "columnar"
 
 _DESCRIPTIONS = {
     "perline": "per-line oracle (dict caches, one access per line)",
-    "batched": "fused per-run dict loops (default)",
-    "columnar": "numpy state matrices + compiled batch kernel",
+    "columnar": "numpy state matrices + compiled batch kernel (default)",
 }
 
 
@@ -108,7 +105,7 @@ def resolve_engine(name: Optional[str] = None) -> Engine:
         raise ValueError(
             f"unknown engine {requested!r}; choose from "
             f"{', '.join(ENGINE_NAMES)}")
-    if requested in ("perline", "batched"):
+    if requested == "perline":
         return Engine(name=requested, requested=requested,
                       description=_DESCRIPTIONS[requested],
                       columnar=False, kernel_name="none", kernel=None)

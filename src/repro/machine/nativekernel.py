@@ -2,10 +2,11 @@
 
 A line-for-line translation of :func:`repro.machine.pykernel.run_batch`
 into C, compiled once per source hash with the host C compiler into a
-small shared object and loaded with :mod:`ctypes`.  No build step and
-no new Python dependency: if there is no working compiler (or
-``REPRO_NO_CC`` is set), :func:`load_native_kernel` returns ``None``
-and the engine falls back to the interpreted kernel, bit-identically.
+small shared object and loaded with :mod:`ctypes`, bound once with
+raw-pointer arguments.  No build step and no new Python dependency: if
+there is no working compiler (or ``REPRO_NO_CC`` is set),
+:func:`load_native_kernel` returns ``None`` and the engine falls back
+to the interpreted kernel, bit-identically but several times slower.
 
 The compiled object is cached under ``$REPRO_KERNEL_CACHE`` (default:
 a ``repro-kernel-cache`` directory in the system temp dir), keyed by
@@ -22,8 +23,6 @@ import subprocess
 import tempfile
 from pathlib import Path
 from typing import Callable, Optional
-
-import numpy as np
 
 #: Kill switch: set to any non-empty value to skip compilation and use
 #: the interpreted kernel (useful for differential-testing the C one).
@@ -63,6 +62,7 @@ _C_SOURCE = r"""
 #define OUT_L_CLOCK     11
 #define OUT_QPI         12
 #define OUT_READS_BASE  16
+#define OUT_SIZE        32
 
 /* Hit probe: the way holding `tag`, or -1.  Written as a branch-free
  * conditional select so the compiler can vectorize the 16-way int64
@@ -103,7 +103,9 @@ void pick_victim(const int64_t *restrict tags,
  * int64 compares become a handful of SIMD ops). */
 static inline __attribute__((always_inline))
 void run_batch_impl(const int64_t *restrict scal,
-                    const int64_t *restrict runs,
+                    const int64_t *restrict q_base,
+                    const int64_t *restrict q_count,
+                    const int64_t *restrict q_write,
                     int64_t *restrict pt, uint8_t *restrict pd,
                     int64_t *restrict pa,
                     int64_t *restrict lt, uint8_t *restrict ld,
@@ -117,15 +119,19 @@ void run_batch_impl(const int64_t *restrict scal,
     const int64_t l2_hit = scal[5], llc_hit = scal[6];
     int64_t p_clock = scal[7], l_clock = scal[8];
     const int64_t has_private = scal[9];
+    const int64_t home_node = scal[10];
+    const int64_t lat_local = scal[11], lat_remote = scal[12];
+    const int64_t node_shift = scal[13];
     int64_t n_victims = 0, cycles = 0;
 
+    for (int64_t s = 0; s < OUT_SIZE; s++) out[s] = 0;
     for (int64_t r = 0; r < n_runs; r++) {
-        const int64_t base = runs[r * 6 + 0];
-        const int64_t count = runs[r * 6 + 1];
-        const int64_t is_write = runs[r * 6 + 2];
-        const int64_t mem_latency = runs[r * 6 + 3];
-        const int64_t node = runs[r * 6 + 4];
-        const int64_t remote = runs[r * 6 + 5];
+        const int64_t base = q_base[r];
+        const int64_t count = q_count[r];
+        const int64_t is_write = q_write[r];
+        const int64_t node = base >> node_shift;
+        const int64_t remote = node != home_node;
+        const int64_t mem_latency = remote ? lat_remote : lat_local;
         /* Consecutive lines walk consecutive sets: advance the set
          * index and wrap the tag incrementally, no div/mod per line. */
         int64_t l_si = base % l_sets;
@@ -248,14 +254,16 @@ void run_batch_impl(const int64_t *restrict scal,
             }
         }
     }
-    out[OUT_CYCLES] += cycles;
+    out[OUT_CYCLES] = cycles;
     out[OUT_N_VICTIMS] = n_victims;
     out[OUT_P_CLOCK] = p_clock;
     out[OUT_L_CLOCK] = l_clock;
 }
 
 void repro_run_batch(const int64_t *restrict scal,
-                     const int64_t *restrict runs,
+                     const int64_t *restrict q_base,
+                     const int64_t *restrict q_count,
+                     const int64_t *restrict q_write,
                      int64_t *restrict pt, uint8_t *restrict pd,
                      int64_t *restrict pa,
                      int64_t *restrict lt, uint8_t *restrict ld,
@@ -266,21 +274,23 @@ void repro_run_batch(const int64_t *restrict scal,
     /* Specialised clones for the default-scale geometries; the way
      * counts become compile-time constants inside the inlined body. */
     if (p_ways == 16 && l_ways == 16)
-        run_batch_impl(scal, runs, pt, pd, pa, lt, ld, la, victims, out,
-                       16, 16);
+        run_batch_impl(scal, q_base, q_count, q_write, pt, pd, pa, lt, ld,
+                       la, victims, out, 16, 16);
     else if (p_ways == 8 && l_ways == 8)
-        run_batch_impl(scal, runs, pt, pd, pa, lt, ld, la, victims, out,
-                       8, 8);
+        run_batch_impl(scal, q_base, q_count, q_write, pt, pd, pa, lt, ld,
+                       la, victims, out, 8, 8);
     else
-        run_batch_impl(scal, runs, pt, pd, pa, lt, ld, la, victims, out,
-                       p_ways, l_ways);
+        run_batch_impl(scal, q_base, q_count, q_write, pt, pd, pa, lt, ld,
+                       la, victims, out, p_ways, l_ways);
 }
 """
 
-#: Uniform batch-kernel signature (see pykernel.run_batch).
-KernelFn = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
-                     np.ndarray, np.ndarray, np.ndarray, np.ndarray,
-                     np.ndarray, np.ndarray], None]
+#: Batch-kernel signature: ``scal``, the three run queues, the private
+#: and LLC tag/dirty/age state, ``victims`` and ``out`` (see
+#: :func:`repro.machine.pykernel.run_batch`).  The interpreted kernel
+#: takes the buffers themselves; the C kernel takes their addresses
+#: (plain ints), so a call converts no array objects at all.
+KernelFn = Callable[..., None]
 
 #: Memoised load result: unset, or (kernel-or-None).
 _LOADED: list = []
@@ -336,9 +346,8 @@ def load_native_kernel() -> Optional[KernelFn]:
             lib_path = _compile(_cache_dir(), digest)
             lib = ctypes.CDLL(str(lib_path))
             fn = lib.repro_run_batch
-            i64 = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
-            u8 = np.ctypeslib.ndpointer(dtype=np.uint8, flags="C_CONTIGUOUS")
-            fn.argtypes = [i64, i64, i64, u8, i64, i64, u8, i64, i64, i64]
+            # Raw pointers: callers pass buffer addresses as ints.
+            fn.argtypes = [ctypes.c_void_p] * 12
             fn.restype = None
             kernel = fn
         except (OSError, subprocess.SubprocessError, ValueError):

@@ -87,120 +87,6 @@ class CorePath:
             machine.qpi_crossings += 1
         return latency.memory_latency(remote=remote)
 
-    def access_run(self, first_line: int, count: int, is_write: bool) -> int:
-        """Access ``count`` consecutive physical lines; returns cycles.
-
-        Bulk equivalent of calling :meth:`access_line` once per line in
-        ascending order — simulated counters come out bit-identical —
-        but the private-cache probe, LLC routing, and memory-write
-        propagation are fused into one Python frame per run instead of
-        three frames per line.  Callers must keep a run inside one
-        physical frame (the batched page-table walk does), so the whole
-        run has a single home node.
-        """
-        if count <= 0:
-            return 0
-        machine = self.machine
-        latency = machine.latency
-        llc = self.socket.llc
-        memory_write = machine.memory_write
-        node = machine.nodes[node_of_line(first_line)]
-        remote = node.node_id != self.socket.memory.node_id
-        mem_latency = latency.memory_latency(remote=remote)
-        private = self.private
-
-        if private is None:
-            hits, dirty_victims = llc.access_run(first_line, count, is_write)
-            for victim in dirty_victims:
-                memory_write(victim)
-            misses = count - hits
-            # record_read() only increments, so batch the increment.
-            node.read_lines += misses
-            if remote:
-                machine.qpi_crossings += misses
-            return hits * latency.llc_hit + misses * mem_latency
-
-        # Fused private + LLC + memory routing.  This deliberately works
-        # on the caches' set dicts directly: it is the per-line sequence
-        # of CacheLevel.access / install_dirty pops and inserts, inlined
-        # so the hot loop stays in this frame.  The private-hit path
-        # carries no counter updates at all — hits and cycles are
-        # derived from the miss counts after the run (identical totals;
-        # latency is a pure function of the hit/miss classification).
-        # Private set indices advance incrementally (consecutive lines
-        # walk consecutive sets), so the hit path has no div/mod either.
-        p_sets, p_num, p_assoc = private._sets, private.num_sets, private.assoc
-        l_sets, l_num, l_assoc = llc._sets, llc.num_sets, llc.assoc
-        p_misses = p_evictions = p_dirty = 0
-        l_hits = l_evictions = l_dirty = 0
-        p_si = first_line % p_num
-        p_tag = first_line // p_num
-        for line in range(first_line, first_line + count):
-            cache_set = p_sets[p_si]
-            dirty = cache_set.pop(p_tag, None)
-            if dirty is not None:
-                cache_set[p_tag] = dirty or is_write
-            else:
-                p_misses += 1
-                # Private miss: evict (write-back into the LLC, which
-                # may displace a dirty LLC line to memory), allocate,
-                # then issue the demand read to the LLC.
-                if len(cache_set) >= p_assoc:
-                    victim_tag = next(iter(cache_set))
-                    p_evictions += 1
-                    if cache_set.pop(victim_tag):
-                        p_dirty += 1
-                        victim = victim_tag * p_num + p_si
-                        wb_index = victim % l_num
-                        wb_set = l_sets[wb_index]
-                        wb_tag = victim // l_num
-                        if wb_set.pop(wb_tag, None) is None:
-                            if len(wb_set) >= l_assoc:
-                                out_tag = next(iter(wb_set))
-                                l_evictions += 1
-                                if wb_set.pop(out_tag):
-                                    l_dirty += 1
-                                    memory_write(out_tag * l_num + wb_index)
-                        wb_set[wb_tag] = True
-                cache_set[p_tag] = is_write
-                l_si = line % l_num
-                l_set = l_sets[l_si]
-                l_tag = line // l_num
-                dirty = l_set.pop(l_tag, None)
-                if dirty is not None:
-                    l_set[l_tag] = dirty
-                    l_hits += 1
-                else:
-                    if len(l_set) >= l_assoc:
-                        out_tag = next(iter(l_set))
-                        l_evictions += 1
-                        if l_set.pop(out_tag):
-                            l_dirty += 1
-                            memory_write(out_tag * l_num + l_si)
-                    l_set[l_tag] = False
-            p_si += 1
-            if p_si == p_num:
-                p_si = 0
-                p_tag += 1
-        p_hits = count - p_misses
-        l_misses = p_misses - l_hits
-        cycles = (p_hits * latency.l2_hit + l_hits * latency.llc_hit
-                  + l_misses * mem_latency)
-        p_stats = private.stats
-        p_stats.hits += p_hits
-        p_stats.misses += p_misses
-        p_stats.evictions += p_evictions
-        p_stats.dirty_evictions += p_dirty
-        l_stats = llc.stats
-        l_stats.hits += l_hits
-        l_stats.misses += l_misses
-        l_stats.evictions += l_evictions
-        l_stats.dirty_evictions += l_dirty
-        node.read_lines += l_misses
-        if remote:
-            machine.qpi_crossings += l_misses
-        return cycles
-
     def drain(self) -> None:
         """Flush the private cache into the LLC (end-of-run hygiene)."""
         if self.private is None:
@@ -289,7 +175,7 @@ class NumaMachine:
                     lines[node_ids == node_id])
 
     def sync_engines(self) -> None:
-        """Flush every deferred-access queue (no-op for eager engines).
+        """Flush every deferred-access queue (no-op for the per-line engine).
 
         Must run before anything observes or remaps machine state:
         counter reads, invariant checks, cache flushes, page-table

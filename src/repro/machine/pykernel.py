@@ -7,34 +7,40 @@ dirty-victim write-back into the LLC, demand LLC access, memory-write
 propagation.  Counters come out bit-identical to the per-line engine
 because this *is* the per-line engine, re-expressed over arrays.
 
-The function is written as scalar loops over flat int64/uint8 numpy
-arrays, with no Python objects, so the same source serves two backends:
+The function is written as scalar loops over flat integer buffers,
+with no Python objects, so the same source serves two backends:
 
-* interpreted, as the always-available correctness fallback and the
-  differential reference for the compiled kernel;
+* interpreted, as the always-available correctness fallback (hosts
+  without a C compiler run it) and the differential reference for the
+  compiled kernel;
 * a line-for-line C translation (:mod:`repro.machine.nativekernel`),
-  the default backend for ``REPRO_ENGINE=columnar``.
+  the backend the default ``columnar`` engine loads when it can.
 
-Array contract (all int64 unless noted):
+Array contract (all int64 unless noted; any indexable buffer works —
+the columnar path passes its ``array('q')`` queues and flat numpy views
+as they are, and the C kernel receives the same buffers by address):
 
 ``scal``
     ``[n_runs, p_sets, p_ways, l_sets, l_ways, l2_hit, llc_hit,
-    p_clock, l_clock, has_private]``.  The clocks are the cache levels'
-    monotonic LRU counters; strictly increasing ages make every LRU
-    choice unique, so there is no tie-breaking to get wrong.
-``runs``
-    ``n_runs x 6`` row-major: ``[first_line, count, is_write,
-    mem_latency, node, remote]``.  A run never crosses a page, so it
-    has one home node (the batched page-table walk guarantees this).
+    p_clock, l_clock, has_private, home_node, lat_local, lat_remote,
+    node_shift]``.  The clocks are the cache levels' monotonic LRU
+    counters; strictly increasing ages make every LRU choice unique, so
+    there is no tie-breaking to get wrong.  ``node_shift`` turns a line
+    address into its home node id.
+``q_base`` / ``q_count`` / ``q_write``
+    The core path's run queues, ``n_runs`` entries each: first line,
+    line count, and write flag (0/1).  A run never crosses a page, so
+    it has one home node; the kernel derives node, remoteness and
+    memory latency per run from ``scal``.
 ``pt/pd/pa`` and ``lt/ld/la``
     Private and LLC tag (int64, ``-1`` = invalid way), dirty (uint8),
     and age matrices, flattened row-major ``[set * ways + way]``.
 ``victims``
     Out: line addresses written back to memory, in eviction order.
-    Callers size it at two entries per accessed line (the worst case:
+    Callers size it at two entries per queued line (the worst case:
     one LLC install victim plus one demand victim).
 ``out``
-    Out (length 32): ``[p_hits, p_misses, p_evictions,
+    Out (length 32), overwritten: ``[p_hits, p_misses, p_evictions,
     p_dirty_evictions, l_hits, l_misses, l_evictions,
     l_dirty_evictions, cycles, n_victims, p_clock', l_clock',
     qpi_crossings, 0, 0, 0, reads_node0 .. reads_node15]``.
@@ -42,7 +48,10 @@ Array contract (all int64 unless noted):
 
 from __future__ import annotations
 
-import numpy as np
+from typing import Any
+
+#: Any int-indexable buffer: ``array('q')``, a flat numpy view.
+Buffer = Any
 
 # out[] slot indices, mirrored by the C kernel.
 OUT_P_HITS = 0
@@ -60,15 +69,19 @@ OUT_L_CLOCK = 11
 OUT_QPI = 12
 OUT_READS_BASE = 16
 OUT_SIZE = 32
+#: Length of the ``scal`` vector.
+SCAL_SIZE = 14
 #: Node ids the kernels can attribute reads to (out[] slots 16..31).
 MAX_NODES = OUT_SIZE - OUT_READS_BASE
 
 
-def run_batch(scal: np.ndarray, runs: np.ndarray,
-              pt: np.ndarray, pd: np.ndarray, pa: np.ndarray,
-              lt: np.ndarray, ld: np.ndarray, la: np.ndarray,
-              victims: np.ndarray, out: np.ndarray) -> None:  # noqa: C901
+def run_batch(scal: Buffer, q_base: Buffer, q_count: Buffer,
+              q_write: Buffer, pt: Buffer, pd: Buffer, pa: Buffer,
+              lt: Buffer, ld: Buffer, la: Buffer, victims: Buffer,
+              out: Buffer) -> None:  # noqa: C901
     """Execute a batch of access runs; see the module docstring."""
+    for slot in range(len(out)):
+        out[slot] = 0
     n_runs = scal[0]
     p_sets = scal[1]
     p_ways = scal[2]
@@ -79,15 +92,19 @@ def run_batch(scal: np.ndarray, runs: np.ndarray,
     p_clock = scal[7]
     l_clock = scal[8]
     has_private = scal[9]
+    home_node = scal[10]
+    lat_local = scal[11]
+    lat_remote = scal[12]
+    node_shift = scal[13]
     n_victims = 0
     cycles = 0
     for r in range(n_runs):
-        base = runs[r * 6 + 0]
-        count = runs[r * 6 + 1]
-        is_write = runs[r * 6 + 2]
-        mem_latency = runs[r * 6 + 3]
-        node = runs[r * 6 + 4]
-        remote = runs[r * 6 + 5]
+        base = q_base[r]
+        count = q_count[r]
+        is_write = q_write[r]
+        node = base >> node_shift
+        remote = 1 if node != home_node else 0
+        mem_latency = lat_remote if remote != 0 else lat_local
         if has_private != 0:
             p_si = base % p_sets
             p_tag = base // p_sets
@@ -212,7 +229,7 @@ def run_batch(scal: np.ndarray, runs: np.ndarray,
                     p_tag += 1
         else:
             # No private level: demand runs hit the LLC directly and
-            # writes dirty it (CacheLevel.access_run semantics).
+            # writes dirty it (CacheLevel.access semantics).
             for i in range(count):
                 line = base + i
                 l_si = line % l_sets
@@ -257,7 +274,7 @@ def run_batch(scal: np.ndarray, runs: np.ndarray,
                     if remote != 0:
                         out[OUT_QPI] += 1
                     cycles += mem_latency
-    out[OUT_CYCLES] += cycles
+    out[OUT_CYCLES] = cycles
     out[OUT_N_VICTIMS] = n_victims
     out[OUT_P_CLOCK] = p_clock
     out[OUT_L_CLOCK] = l_clock

@@ -6,7 +6,7 @@ Two instruments, one contract:
   checker (:data:`SANITIZE`), a probe-bus subscriber while installed;
   its sites cost one ``PROBES.on`` test when it is not.
 * :mod:`repro.sanitize.fuzz` — the differential fuzzer: seeded random
-  traces replayed through both the batched engine and the per-line
+  traces replayed through both the columnar engine and the per-line
   oracle on twin machines, with counter comparison and delta-debugging
   trace shrinking.
 

@@ -1,10 +1,11 @@
-"""Differential-oracle fuzzer for the batched access engine.
+"""Differential-oracle fuzzer for the columnar access engine.
 
-PR 2 split the simulator into a batched fast path
-(:meth:`SimThread.access` / :meth:`SimThread.access_block` /
-:meth:`CorePath.access_run`) and a per-line oracle
-(:meth:`SimThread.access_per_line`) whose counters are contractually
-bit-identical.  This module *continuously proves* that contract: it
+The simulator has a fast path — the columnar engine
+(:class:`~repro.kernel.process.ColumnarSimThread` queueing runs for
+:class:`~repro.machine.colengine.ColumnarCorePath`'s batch kernels) —
+and a per-line oracle (:class:`~repro.kernel.process.PerLineSimThread`)
+whose counters are contractually bit-identical.  This module
+*continuously proves* that contract: it
 generates seeded random traces — mixed read/write accesses at arbitrary
 alignment and page-straddling sizes, ``mmap``/``munmap``/``mbind``
 interleavings, multi-thread schedules across both sockets, cache drains
@@ -22,7 +23,7 @@ engines identically (a lost write-back, a leaked frame) is still caught
 even though the differential comparison cannot see it.
 
 :func:`planted_bug` installs known counter bugs for self-tests and CI:
-``short-block`` makes the batched engine drop the trailing line of
+``short-block`` makes the columnar engine drop the trailing line of
 multi-line blocks (caught by the differential oracle, shrinks to a
 single access), and ``lost-writeback`` makes the machine drop every
 fifth memory write on the floor in both engines (invisible to the
@@ -39,7 +40,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.config import PAGE_SIZE
 from repro.faults.plan import FAULTS, FaultPlan
-from repro.kernel.process import SimThread
+from repro.kernel.process import ColumnarSimThread
 from repro.kernel.vm import Kernel
 from repro.machine.engine import engine_names
 from repro.machine.topology import emulation_platform_spec
@@ -232,7 +233,7 @@ class TraceReplayer:
     :func:`repro.machine.engine.engine_names`): the machine is built
     with that engine and accesses are issued through the plain
     ``thread.access`` entry point, so each engine's real thread class
-    (batched, per-line oracle, columnar) handles them exactly as
+    (per-line oracle, columnar) handles them exactly as
     production code would.  ``"oracle"`` is accepted as an alias for
     ``"perline"``.  Everything else (kernel calls, drains, flushes) is
     engine-independent and must leave identical state.
@@ -434,7 +435,7 @@ class DivergenceReport:
     predicate_evals: int
     candidate: Dict[str, object]
     reference: Dict[str, object]
-    engines: Tuple[str, str] = ("batched", "perline")
+    engines: Tuple[str, str] = ("columnar", "perline")
     placement: str = "static"
 
     def to_dict(self) -> Dict[str, object]:
@@ -519,7 +520,7 @@ class DifferentialFuzzer:
                  fault_plan: Optional[FaultPlan] = None,
                  shrink: bool = True, check_every: int = 64,
                  max_shrink_evals: int = 250,
-                 engine: str = "batched",
+                 engine: str = "columnar",
                  reference: str = "perline",
                  placement: str = "static",
                  tick_every: int = 0) -> None:
@@ -610,7 +611,7 @@ def planted_bug(name: str):
     """Temporarily install a known counter bug.
 
     ``short-block``
-        The batched engine silently drops the trailing line of every
+        The columnar engine silently drops the trailing line of every
         multi-line block — a differential divergence the fuzzer must
         catch and shrink to a single access op.
     ``lost-writeback``
@@ -620,34 +621,24 @@ def planted_bug(name: str):
         write-conservation law can catch it.
     """
     if name == "short-block":
-        from repro.kernel.process import ColumnarSimThread
-        original_block = SimThread.access_block
-        original_col = ColumnarSimThread.access
+        original = ColumnarSimThread.access
 
-        def make_buggy(original):
-            def buggy_block(self, vaddr: int, size: int,
-                            is_write: bool) -> int:
-                last_line_start = ((vaddr + size - 1) >> 6) << 6
-                if last_line_start > vaddr:
-                    size = last_line_start - vaddr  # drop the trailing line
-                return original(self, vaddr, size, is_write)
-            return buggy_block
+        def buggy_access(self, vaddr: int, size: int,
+                         is_write: bool) -> int:
+            last_line_start = ((vaddr + size - 1) >> 6) << 6
+            if last_line_start > vaddr:
+                size = last_line_start - vaddr  # drop the trailing line
+            return original(self, vaddr, size, is_write)
 
-        SimThread.access_block = make_buggy(  # type: ignore[method-assign]
-            original_block)
-        # The columnar thread's merged access handles multi-line blocks
-        # itself (access_block is an alias), so both entry points get
-        # the same wrapped body.
-        ColumnarSimThread.access = make_buggy(  # type: ignore[method-assign]
-            original_col)
-        ColumnarSimThread.access_block = (  # type: ignore[method-assign]
-            ColumnarSimThread.access)
+        # The columnar thread's access handles multi-line blocks itself
+        # (access_block is an alias), so both entry points get the bug.
+        ColumnarSimThread.access = buggy_access  # type: ignore[method-assign]
+        ColumnarSimThread.access_block = buggy_access  # type: ignore[method-assign]
         try:
             yield
         finally:
-            SimThread.access_block = original_block  # type: ignore[method-assign]
-            ColumnarSimThread.access = original_col  # type: ignore[method-assign]
-            ColumnarSimThread.access_block = original_col  # type: ignore[method-assign]
+            ColumnarSimThread.access = original  # type: ignore[method-assign]
+            ColumnarSimThread.access_block = original  # type: ignore[method-assign]
     elif name == "lost-writeback":
         from repro.machine.numa import NumaMachine
         original_write = NumaMachine.memory_write

@@ -60,7 +60,7 @@ def observability_off_after():
     TRACER.clear()
 
 
-def profiled_run(enable_trace=True):
+def profiled_run(enable_trace=True, engine=None):
     TRACER.clear()
     if enable_trace:
         TRACER.enable()
@@ -68,7 +68,8 @@ def profiled_run(enable_trace=True):
     # A tiny LLC so stores spill to the memory nodes instead of living
     # in cache for the whole run — attribution needs memory traffic.
     platform = HybridMemoryPlatform(mode=EmulationMode.EMULATION,
-                                    llc_size_override=32 * 1024)
+                                    llc_size_override=32 * 1024,
+                                    engine=engine)
     try:
         result = platform.run(lambda index: ChurnApp(index),
                               collector="KG-W", instances=1)
@@ -95,6 +96,14 @@ class TestConservation:
         first = profiled_run()
         second = profiled_run()
         assert first.profile["self"] == second.profile["self"]
+
+    def test_self_buckets_identical_across_engines(self):
+        """The columnar engine defers lines in queues; every span
+        boundary must land them, or they are charged to a later phase
+        than the per-line oracle charges them to."""
+        oracle = profiled_run(engine="perline")
+        columnar = profiled_run(engine="columnar")
+        assert columnar.profile["self"] == oracle.profile["self"]
 
     def test_phase_tree_covers_gc_and_mutator(self):
         result = profiled_run()

@@ -1,12 +1,15 @@
 """Checked-in result digests: every engine reproduces them bit for bit.
 
-``digests.json`` maps ``benchmark/collector`` to the SHA-256 of the
-canonical result payload — ``serve.wire.canonical_result`` over
-``result_to_dict``, the same definition of "same result" that
-``repro serve`` and ``perfbench`` use.  The file holds batched-engine
-digests; the per-line oracle and the columnar engine must reproduce
-them exactly.  A change to any digest is a deliberate re-baseline and
-is recorded in CHANGES.md with its reason.
+``digests.json`` maps ``benchmark/collector[/placement]`` to the
+SHA-256 of the canonical result payload — ``serve.wire.canonical_result``
+over ``result_to_dict``, the same definition of "same result" that
+``repro serve`` and ``perfbench`` use.  The placement defaults to
+``static``.  Both engines, the per-line oracle and the default columnar
+engine, must reproduce every digest exactly.  The keys cover a managed
+run per collector family, a native-runtime run (``pr.cpp``), and the
+migrate placement (write listeners and page migration).  A change to
+any digest is a deliberate re-baseline and is recorded in CHANGES.md
+with its reason.
 """
 
 import hashlib
@@ -25,12 +28,13 @@ GOLDEN = json.loads(
     (Path(__file__).resolve().parent / "digests.json").read_text())
 
 
-def result_digest(benchmark: str, collector: str, engine: str) -> str:
+def result_digest(benchmark: str, collector: str, engine: str,
+                  placement: str = "static") -> str:
     """SHA-256 of one default-seed emulation run's canonical payload."""
     factory = benchmark_factory(benchmark)
     platform = HybridMemoryPlatform(
         mode=EmulationMode.EMULATION, scale=DEFAULT_SCALE_CONFIG,
-        seeds=DEFAULT_SEEDS, engine=engine)
+        seeds=DEFAULT_SEEDS, engine=engine, placement=placement)
     result = platform.run(
         lambda index: factory(index, dataset="default",
                               scale=DEFAULT_SCALE_CONFIG),
@@ -40,8 +44,9 @@ def result_digest(benchmark: str, collector: str, engine: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-@pytest.mark.parametrize("engine", ["perline", "batched", "columnar"])
+@pytest.mark.parametrize("engine", ["perline", "columnar"])
 @pytest.mark.parametrize("key", sorted(GOLDEN))
 def test_digest_matches_golden(key, engine):
-    benchmark, collector = key.split("/")
-    assert result_digest(benchmark, collector, engine) == GOLDEN[key]
+    benchmark, collector, *placement = key.split("/")
+    assert result_digest(benchmark, collector, engine,
+                         *placement) == GOLDEN[key]

@@ -26,7 +26,7 @@ from repro.machine.topology import (
 BASE = 0x80000
 
 
-@pytest.fixture(params=("perline", "batched", "columnar"))
+@pytest.fixture(params=("perline", "columnar"))
 def kernel(request):
     machine = emulation_platform_spec(
         DEFAULT_SCALE_CONFIG, DEFAULT_LATENCY).build(engine=request.param)

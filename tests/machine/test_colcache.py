@@ -9,9 +9,12 @@ batch kernels built on the columnar state inherit a proven foundation.
 """
 
 import random
+from array import array
 
+import numpy as np
 import pytest
 
+from repro.machine import pykernel
 from repro.machine.cache import CacheLevel
 from repro.machine.colcache import ColumnarCacheLevel
 
@@ -87,25 +90,38 @@ class TestScalarParity:
             assert col_cache.lookup(line) == dict_cache.lookup(line)
             assert col_cache.is_dirty(line) == dict_cache.is_dirty(line)
 
-    def test_access_run_matches_scalar_loop(self):
+    def test_kernel_run_matches_scalar_loop(self):
+        """An LLC-only batch-kernel run is the scalar access loop."""
         scalar = ColumnarCacheLevel(4096, 4)
-        batched = ColumnarCacheLevel(4096, 4)
+        kernel = ColumnarCacheLevel(4096, 4)
         rng = random.Random(7)
+        victims = np.zeros(2 * 40 + 8, dtype=np.int64)
+        out = array("q", [0] * pykernel.OUT_SIZE)
         for _ in range(200):
             first = rng.randrange(0, 200)
             count = rng.randrange(1, 40)
             is_write = rng.random() < 0.5
             expected_victims = []
-            hits = 0
             for line in range(first, first + count):
-                hit, victim, victim_dirty = scalar.access(line, is_write)
-                hits += 1 if hit else 0
+                _, victim, victim_dirty = scalar.access(line, is_write)
                 if victim_dirty:
                     expected_victims.append(victim)
-            got_hits, got_victims = batched.access_run(first, count, is_write)
-            assert got_hits == hits
-            assert got_victims == expected_victims
-            assert _stats_tuple(batched) == _stats_tuple(scalar)
+            scal = array("q", [1, 1, 1, kernel.num_sets, kernel.assoc,
+                               0, 0, 0, kernel.clock, 0, 0, 0, 0, 40])
+            pykernel.run_batch(scal, array("q", [first]),
+                               array("q", [count]),
+                               array("q", [1 if is_write else 0]),
+                               None, None, None, *kernel.flat, victims, out)
+            kernel.clock = out[pykernel.OUT_L_CLOCK]
+            stats = kernel.stats
+            stats.hits += out[pykernel.OUT_L_HITS]
+            stats.misses += out[pykernel.OUT_L_MISSES]
+            stats.evictions += out[pykernel.OUT_L_EVICTIONS]
+            stats.dirty_evictions += out[pykernel.OUT_L_DIRTY]
+            n_victims = out[pykernel.OUT_N_VICTIMS]
+            assert victims[:n_victims].tolist() == expected_victims
+            assert _stats_tuple(kernel) == _stats_tuple(scalar)
+        assert kernel.resident_lines() == scalar.resident_lines()
 
 
 class TestLruOrderAudit:

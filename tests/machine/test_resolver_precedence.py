@@ -17,7 +17,7 @@ from repro.machine.engine import (DEFAULT_ENGINE, ENGINE_ENV,
 class TestEnginePrecedence:
     def test_default_when_nothing_set(self, monkeypatch):
         monkeypatch.delenv(ENGINE_ENV, raising=False)
-        assert resolve_engine().requested == DEFAULT_ENGINE == "batched"
+        assert resolve_engine().requested == DEFAULT_ENGINE == "columnar"
 
     def test_env_overrides_default(self, monkeypatch):
         monkeypatch.setenv(ENGINE_ENV, "perline")

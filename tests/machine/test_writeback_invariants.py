@@ -7,11 +7,10 @@ hook: every resident dirty line reaches memory exactly once at flush,
 reads produce no write-backs at all, and draining private caches before
 a full flush changes nothing.
 
-Every test runs once per access engine (the per-line oracle, the
-batched fused loops, and the columnar batch kernels): the invariants
-are properties of the architecture, not of any one implementation, and
-the deferred engines are exactly where a queued run could slip past a
-flush boundary.
+Every test runs once per access engine (the per-line oracle and the
+columnar batch kernels): the invariants are properties of the
+architecture, not of any one implementation, and the deferred engine
+is exactly where a queued run could slip past a flush boundary.
 """
 
 import pytest
@@ -27,7 +26,7 @@ from repro.machine.topology import (
 
 BASE = 0x40000
 
-ENGINES = ("perline", "batched", "columnar")
+ENGINES = ("perline", "columnar")
 
 
 @pytest.fixture(params=ENGINES)

@@ -56,10 +56,10 @@ class TestTraceGeneration:
 class TestReplay:
     def test_engines_agree_on_a_clean_trace(self):
         trace = generate_trace(11, 600)
-        batched, violations_b = replay(trace, "batched", check_every=64)
+        columnar, violations_c = replay(trace, "columnar", check_every=64)
         oracle, violations_o = replay(trace, "oracle", check_every=64)
-        assert diff_snapshots(batched, oracle) == []
-        assert violations_b == [] and violations_o == []
+        assert diff_snapshots(columnar, oracle) == []
+        assert violations_c == [] and violations_o == []
 
     def test_faulting_ops_recorded_identically(self):
         trace = [
@@ -70,10 +70,10 @@ class TestReplay:
             TraceOp("access", vaddr=PCM_BASE + 1, size=200,
                     is_write=True),
         ]
-        batched, _ = replay(trace, "batched")
+        columnar, _ = replay(trace, "columnar")
         oracle, _ = replay(trace, "oracle")
-        assert diff_snapshots(batched, oracle) == []
-        names = [entry[1] for entry in batched["exceptions"]]
+        assert diff_snapshots(columnar, oracle) == []
+        names = [entry[1] for entry in columnar["exceptions"]]
         assert names == ["PageFault", "MBindError", "PageFault"]
 
     def test_unknown_engine_rejected(self):
@@ -83,7 +83,7 @@ class TestReplay:
             TraceReplayer("quantum")
 
     def test_snapshot_covers_both_sockets_and_the_kernel(self):
-        snapshot, _ = replay(generate_trace(5, 200), "batched")
+        snapshot, _ = replay(generate_trace(5, 200), "columnar")
         assert {"node0.write_lines", "node1.write_lines", "llc0", "llc1",
                 "qpi_crossings", "kernel"} <= set(snapshot)
 
@@ -128,16 +128,16 @@ class TestMigratePlacementFuzz:
 
     def test_engines_agree_under_migrate_with_ticks(self):
         trace = generate_trace(13, 800, tick_every=64)
-        batched, violations_b = replay(trace, "batched", check_every=64,
-                                       placement="migrate")
+        columnar, violations_c = replay(trace, "columnar", check_every=64,
+                                        placement="migrate")
         oracle, violations_o = replay(trace, "oracle", check_every=64,
                                       placement="migrate")
-        assert diff_snapshots(batched, oracle) == []
-        assert violations_b == [] and violations_o == []
+        assert diff_snapshots(columnar, oracle) == []
+        assert violations_c == [] and violations_o == []
 
     def test_migrate_snapshot_tracks_migration_counters(self):
         trace = generate_trace(13, 800, tick_every=64)
-        snapshot, _ = replay(trace, "batched", placement="migrate")
+        snapshot, _ = replay(trace, "columnar", placement="migrate")
         assert "node0.migration_write_lines" in snapshot
         assert "node1.migration_write_lines" in snapshot
         # kernel tuple: (..., pages_migrated, migration_writes)
@@ -171,9 +171,9 @@ class TestPlantedBugs:
         assert report.keys  # names the diverging counters
         # The shrunk trace must still reproduce outside the shrinker.
         with planted_bug("short-block"):
-            batched, _ = replay(report.shrunk, "batched")
+            columnar, _ = replay(report.shrunk, "columnar")
             oracle, _ = replay(report.shrunk, "oracle")
-        assert diff_snapshots(batched, oracle)
+        assert diff_snapshots(columnar, oracle)
 
     def test_short_block_report_describes_the_trace(self):
         with planted_bug("short-block"):

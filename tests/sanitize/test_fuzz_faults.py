@@ -1,9 +1,9 @@
-"""Differential equivalence under fault injection (satellite of the
-sanitizer PR): when a :class:`FaultPlan` fires mid-trace, the batched
-and per-line engines must still report bit-identical counters *and*
-identical fault behaviour — the plan is reinstalled with reset arrival
-counts for each engine's replay, so the same kernel-op sequence meets
-the same faults."""
+"""Differential equivalence under fault injection: when a
+:class:`FaultPlan` fires mid-trace, the columnar and per-line engines
+must still report bit-identical counters *and* identical fault
+behaviour — the plan is reinstalled with reset arrival counts for each
+engine's replay, so the same kernel-op sequence meets the same
+faults."""
 
 import pytest
 
@@ -31,15 +31,15 @@ class TestDifferentialUnderFaults:
     def test_engines_agree_when_a_fault_fires_mid_trace(self):
         plan = deterministic_mmap_plan()
         trace = generate_trace(21, 600)
-        batched, violations_b = replay(trace, "batched", fault_plan=plan,
-                                       check_every=64)
+        columnar, violations_c = replay(trace, "columnar",
+                                        fault_plan=plan, check_every=64)
         oracle, violations_o = replay(trace, "oracle", fault_plan=plan,
                                       check_every=64)
-        assert diff_snapshots(batched, oracle) == []
-        assert violations_b == [] and violations_o == []
+        assert diff_snapshots(columnar, oracle) == []
+        assert violations_c == [] and violations_o == []
         # The plan really fired: the failed mmap shows up as a recorded
         # per-op exception in both replays.
-        names = {entry[1] for entry in batched["exceptions"]}
+        names = {entry[1] for entry in columnar["exceptions"]}
         assert "OutOfPhysicalMemory" in names
 
     def test_fuzzer_accepts_a_fault_plan(self):
@@ -56,9 +56,9 @@ class TestDifferentialUnderFaults:
                                       probability=0.4,
                                       error="frame_exhausted")
         trace = generate_trace(33, 500)
-        first, _ = replay(trace, "batched", fault_plan=plan)
+        first, _ = replay(trace, "columnar", fault_plan=plan)
         second, _ = replay(trace, "oracle", fault_plan=plan)
-        third, _ = replay(trace, "batched", fault_plan=plan)
+        third, _ = replay(trace, "columnar", fault_plan=plan)
         assert diff_snapshots(first, second) == []
         assert diff_snapshots(first, third) == []
 
@@ -74,13 +74,13 @@ class TestDifferentialUnderFaults:
             TraceOp("access", vaddr=SLOT + 0x8000, size=64,
                     is_write=True),  # must fault
         ]
-        batched, _ = replay(trace, "batched", fault_plan=plan)
+        columnar, _ = replay(trace, "columnar", fault_plan=plan)
         oracle, _ = replay(trace, "oracle", fault_plan=plan)
-        assert diff_snapshots(batched, oracle) == []
-        names = [entry[1] for entry in batched["exceptions"]]
+        assert diff_snapshots(columnar, oracle) == []
+        names = [entry[1] for entry in columnar["exceptions"]]
         assert names == ["OutOfPhysicalMemory", "PageFault"]
 
     def test_plan_is_uninstalled_after_replay(self):
-        replay(generate_trace(0, 50), "batched",
+        replay(generate_trace(0, 50), "columnar",
                fault_plan=deterministic_mmap_plan())
         assert FAULTS.active is None

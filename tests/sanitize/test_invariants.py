@@ -139,7 +139,12 @@ class TestKernelLaws:
         assert any("pages_mapped" in v.detail
                    for v in sanitizer.violations)
 
-    def test_stale_tlb_entry_detected(self, kernel, sanitizer):
+    def test_stale_tlb_entry_detected(self, sanitizer):
+        # The software TLB lives in the columnar engine's thread; the
+        # per-line oracle walks the page table for every line.
+        from repro.machine.topology import emulation_platform_spec
+
+        kernel = Kernel(emulation_platform_spec().build(engine="columnar"))
         process = kernel.create_process()
         kernel.mmap_bind(process, BASE, PAGE_SIZE, node_id=0)
         thread = process.spawn_thread()
