@@ -5,9 +5,12 @@ purely to make the simulator faster; it must not change a single
 simulated counter.  This gate drives identical access traces through
 both engines on identically built machines and asserts the full
 architectural state — per-node read/write lines, per-tag write
-attribution, private-cache and LLC stats, QPI crossings, and thread
-cycles — comes out *bit-identical* to the per-line oracle, while the
-columnar engine clears its speed floor.
+attribution, every thread's private-cache stats and cycles, LLC stats
+and QPI crossings — comes out *bit-identical* to the per-line oracle,
+while the columnar engine clears its speed floor.  The
+``thread_switch`` scenario rotates four threads on one socket every
+op, so it gates the shared per-LLC run queue: a thread switch must not
+cost a flush.
 
 Results land in ``BENCH_hotpath.json`` at the repo root (uploaded as a
 CI artifact).  The headline number is the columnar engine on the
@@ -101,19 +104,54 @@ def _trace_mixed():
     return ops
 
 
+#: Threads sharing socket 0 in the thread_switch scenario.
+SWITCH_THREADS = 4
+
+
+def _trace_thread_switch():
+    """Four threads on one socket, a different thread every op.
+
+    The DaCapo profiles' small object sizes, plus page-sized large
+    objects and copy blocks; half the ops bump-allocate in the issuing
+    thread's own quarter of the span, half touch a random address.
+    Every op switches thread, so every op changes the core path that
+    feeds the socket's shared LLC.
+    """
+    rng = random.Random(59)
+    quarter = 2 * PAGES_PER_NODE * PAGE_SIZE // SWITCH_THREADS
+    bumps = [BASE + tid * quarter for tid in range(SWITCH_THREADS)]
+    ops = []
+    for index in range(12_000):
+        tid = index % SWITCH_THREADS
+        size = rng.choice((16, 24, 32, 48, 64, 96, 2048, 4096))
+        if rng.random() < 0.5:
+            if bumps[tid] + size > BASE + (tid + 1) * quarter:
+                bumps[tid] = BASE + tid * quarter
+            ops.append((bumps[tid], size, True))
+            bumps[tid] += size
+        else:
+            addr = BASE + rng.randrange(0, SWITCH_THREADS * quarter - size,
+                                        8)
+            ops.append((addr, size, rng.random() < 0.3))
+    return ops
+
+
+#: (name, trace builder, threads); op ``i`` runs on thread ``i % threads``.
 SCENARIOS = [
-    ("hot_page", _trace_hot_page),
-    ("llc_set", _trace_llc_set),
-    ("stream", _trace_stream),
-    ("mixed", _trace_mixed),
+    ("hot_page", _trace_hot_page, 1),
+    ("llc_set", _trace_llc_set, 1),
+    ("stream", _trace_stream, 1),
+    ("mixed", _trace_mixed, 1),
+    ("thread_switch", _trace_thread_switch, SWITCH_THREADS),
 ]
 
 
 # ----------------------------------------------------------------------
 # Harness
 # ----------------------------------------------------------------------
-def _fresh_thread(engine):
-    """A thread over PAGES_PER_NODE pages on DRAM then PCM."""
+def _fresh_threads(engine, count):
+    """``count`` socket-0 threads over PAGES_PER_NODE pages on DRAM
+    then PCM."""
     machine = emulation_platform_spec(
         DEFAULT_SCALE_CONFIG, DEFAULT_LATENCY).build(engine=engine)
     kernel = Kernel(machine)
@@ -122,29 +160,29 @@ def _fresh_thread(engine):
     kernel.mmap_bind(process, BASE, length, node_id=DRAM_NODE, tag="dram")
     kernel.mmap_bind(process, BASE + length, length, node_id=PCM_NODE,
                      tag="pcm")
-    thread = process.spawn_thread()
-    return machine, thread
+    return machine, [process.spawn_thread() for _ in range(count)]
 
 
-def _snapshot(machine, thread):
+def _snapshot(machine, threads):
     """Every simulated counter the engines could possibly disagree on."""
-    machine.flush_all([thread.core_path])
-    private = thread.core_path.private
+    machine.flush_all([thread.core_path for thread in threads])
+    privates = [thread.core_path.private for thread in threads]
     return {
         "nodes": [(node.read_lines, node.write_lines,
                    dict(node.writes_by_tag)) for node in machine.nodes],
         "llc": [(s.llc.stats.hits, s.llc.stats.misses, s.llc.stats.evictions,
                  s.llc.stats.dirty_evictions) for s in machine.sockets],
-        "private": (private.stats.hits, private.stats.misses,
-                    private.stats.evictions, private.stats.dirty_evictions)
-        if private is not None else None,
+        "private": [(private.stats.hits, private.stats.misses,
+                     private.stats.evictions, private.stats.dirty_evictions)
+                    if private is not None else None
+                    for private in privates],
         "qpi": machine.qpi_crossings,
-        "cycles": thread.cycles,
-        "page_faults": thread.process.kernel.page_faults,
+        "cycles": [thread.cycles for thread in threads],
+        "page_faults": threads[0].process.kernel.page_faults,
     }
 
 
-def _drive(ops, engine, repeats=3):
+def _drive(ops, engine, threads=1, repeats=3):
     """Best-of-N wall time plus the end-state snapshot for one engine.
 
     The machine is built fresh per repeat with ``engine`` selected at
@@ -155,16 +193,22 @@ def _drive(ops, engine, repeats=3):
     best = float("inf")
     snapshot = None
     for _ in range(repeats):
-        machine, thread = _fresh_thread(engine)
-        access = thread.access
-        start = time.perf_counter()
-        for vaddr, size, is_write in ops:
-            access(vaddr, size, is_write)
+        machine, thread_list = _fresh_threads(engine, threads)
+        if threads == 1:
+            access = thread_list[0].access
+            start = time.perf_counter()
+            for vaddr, size, is_write in ops:
+                access(vaddr, size, is_write)
+        else:
+            accesses = [thread.access for thread in thread_list]
+            start = time.perf_counter()
+            for index, (vaddr, size, is_write) in enumerate(ops):
+                accesses[index % threads](vaddr, size, is_write)
         best = min(best, time.perf_counter() - start)
         # The snapshot flushes any deferred queue outside the timed
         # region; the bulk of the columnar flush cost was already paid
         # by threshold flushes inside the loop.
-        snapshot = _snapshot(machine, thread)
+        snapshot = _snapshot(machine, thread_list)
     return best, snapshot
 
 
@@ -187,19 +231,20 @@ def test_engine_matrix_identical_and_faster():
         },
         "scenarios": {},
     }
-    for name, build_trace in SCENARIOS:
+    for name, build_trace, threads in SCENARIOS:
         ops = build_trace()
-        baseline_seconds, oracle_state = _drive(ops, "perline")
+        baseline_seconds, oracle_state = _drive(ops, "perline", threads)
         lines = sum((vaddr + size - 1) // 64 - vaddr // 64 + 1
                     for vaddr, size, _ in ops)
         entry = {
             "ops": len(ops),
+            "threads": threads,
             "lines": lines,
             "per_line_seconds": round(baseline_seconds, 6),
             "per_line_us_per_line": round(baseline_seconds / lines * 1e6, 4),
         }
         for engine in engines:
-            engine_seconds, engine_state = _drive(ops, engine)
+            engine_seconds, engine_state = _drive(ops, engine, threads)
             assert engine_state == oracle_state, (
                 f"{name}: {engine} engine diverged from the per-line "
                 f"oracle")

@@ -118,8 +118,9 @@ DEFAULT_COUNTER_MUTATORS: Tuple[str, ...] = (
 )
 
 #: Functions allowed to touch another object's private attributes (an
-#: engine's ownership protocol).  None today: the columnar engine keeps
-#: its queues on the path that owns them.
+#: engine's ownership protocol).  None today: the columnar engine's
+#: shared run queue keeps its columns public, and a flush credits each
+#: thread's cycles through the thread's own method.
 DEFAULT_ENGINE_FUNCTIONS: Tuple[str, ...] = ()
 
 #: Packages whose coroutines run on the serve event loop: blocking

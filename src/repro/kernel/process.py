@@ -97,12 +97,13 @@ class PerLineSimThread(SimThread):
 class ColumnarSimThread(SimThread):
     """Thread for the columnar engine: accesses enqueue, cycles defer.
 
-    ``ColumnarCorePath`` queues runs instead of executing them, so the
-    per-access returns are zero and real cycle counts only exist after
-    a queue flush (the path credits ``_cycles_v`` directly).  Reading
-    ``cycles`` therefore syncs this thread's queue first; the hot path
-    below never touches ``self.cycles``, which would otherwise trigger
-    that sync on every access.
+    ``ColumnarCorePath`` queues runs on its LLC's shared run queue
+    instead of executing them, so the per-access returns are zero and
+    real cycle counts only exist after a queue flush (the path credits
+    them through ``_credit_cycles``).  Reading ``cycles`` therefore
+    syncs the socket's queue first; the hot path below never touches
+    ``self.cycles``, which would otherwise trigger that sync on every
+    access.
     """
 
     def __init__(self, thread_id: int, process: "Process",
@@ -119,19 +120,23 @@ class ColumnarSimThread(SimThread):
         self._max_lines = MAX_PENDING_LINES
         super().__init__(thread_id, process, core_path)
         core_path.cycle_sink = self
-        # Both objects live as long as the process; binding them here
-        # saves two attribute loads and a property call per access.
+        # All of these live as long as the process, and the queue's
+        # columns are cleared in place; binding them here saves the
+        # attribute loads per access.
         self._table = process.page_table
         self._line_map = process.page_table.line_base_map
-        # True only while this thread's path is the LLC's registered
-        # queue owner; every flush_pending clears it, so a stale True
-        # is impossible and the common case skips the owner handshake.
-        self._owner_hint = False
+        self._queue = queue = core_path._queue
+        self._slot = core_path._slot
+        self._q_base = queue.q_base
+        self._q_count = queue.q_count
+        self._q_write = queue.q_write
+        self._q_seg = queue.q_seg
 
     @property  # type: ignore[override]
     def cycles(self) -> int:
-        """Cycles spent so far (syncs this thread's deferred queue)."""
-        self._col_path.flush_pending()
+        """Cycles spent so far (syncs this socket's deferred queue)."""
+        if self._queue.tail is not None:
+            self._col_path.flush_pending()
         return self._cycles_v
 
     @cycles.setter
@@ -140,6 +145,12 @@ class ColumnarSimThread(SimThread):
 
     def compute(self, cycles: int) -> None:
         """Account non-memory work (the latency model's op cost)."""
+        self._cycles_v += cycles
+
+    def _credit_cycles(self, cycles: int) -> None:
+        """Take this thread's share of a queue flush (called by the
+        path's ``flush_pending``; the ``cycles`` property would recurse
+        into the flush)."""
         self._cycles_v += cycles
 
     def access(self, vaddr: int, size: int, is_write: bool) -> int:
@@ -152,29 +163,28 @@ class ColumnarSimThread(SimThread):
         """
         table = self._table
         line_map = self._line_map
-        # Inline of ColumnarCorePath._enqueue: the owner steal happens
-        # once up front, every page run is three plain appends, and the
-        # flush threshold is checked once per block (the queue may
-        # overshoot by one block's runs, which only moves the flush
-        # boundary, never a counter).
+        # Inline of ColumnarCorePath.access_line: a thread switch opens
+        # a segment once up front, every page run is three plain
+        # appends, and the flush threshold is checked once per block
+        # (the queue may overshoot by one block's runs, which only
+        # moves the flush boundary, never a counter).
+        queue = self._queue
+        q_base = self._q_base
         cp = self._col_path
-        if not self._owner_hint:
-            llc = cp._llc
-            if llc.pending_path is not cp:
-                if llc.pending_path is not None:
-                    llc.pending_path.flush_pending()
-                llc.pending_path = cp
-            self._owner_hint = True
-        q_base = cp._q_base
-        q_count = cp._q_count
-        q_write = cp._q_write
+        if queue.tail is not cp:
+            q_seg = self._q_seg
+            q_seg.append(len(q_base))
+            q_seg.append(self._slot)
+            queue.tail = cp
+        q_count = self._q_count
+        q_write = self._q_write
         write_flag = 1 if is_write else 0
         first = vaddr >> 6
         last = (vaddr + size - 1) >> 6
         epoch = table.epoch
         tlb_vpage = self._tlb_vpage if epoch == self._tlb_epoch else -1
         tlb_base = self._tlb_base
-        pending = cp._pending_lines
+        pending = queue.pending_lines
         while first <= last:
             vpage = first >> LINES_PER_PAGE_SHIFT
             if vpage == tlb_vpage:
@@ -192,7 +202,7 @@ class ColumnarSimThread(SimThread):
                             self.process, vpage, self.socket_id,
                             first << 6)
                     except Exception:
-                        cp._pending_lines = pending
+                        queue.pending_lines = pending
                         self._discard_block_cycles(first - (vaddr >> 6))
                         raise
                 tlb_vpage = vpage
@@ -206,7 +216,7 @@ class ColumnarSimThread(SimThread):
             q_write.append(write_flag)
             pending += count
             first += count
-        cp._pending_lines = pending
+        queue.pending_lines = pending
         self._tlb_vpage = tlb_vpage
         self._tlb_base = tlb_base
         self._tlb_epoch = epoch
@@ -222,13 +232,15 @@ class ColumnarSimThread(SimThread):
         The per-line engine keeps a faulting block's pre-fault cache and
         memory effects but loses its cycles with the exception (the
         ``self.cycles`` update never runs).  Here those runs sit at the
-        tail of the deferred queue, so: flush everything queued *before*
-        this block normally, then flush the block's own runs and roll
-        their cycle credit back.  Cold path — only ever runs under an
-        imminent :class:`PageFault`.
+        tail of this thread's own segment, the last in the socket's
+        queue, so: flush everything queued *before* this block
+        normally, then flush the block's own runs alone and roll back
+        this thread's cycle credit.  Cold path — only ever runs under
+        an imminent :class:`PageFault`.
         """
         cp = self._col_path
-        q_base, q_count, q_write = cp._q_base, cp._q_count, cp._q_write
+        queue = self._queue
+        q_base, q_count, q_write = self._q_base, self._q_count, self._q_write
         n_block = 0
         stripped = 0
         while stripped < block_lines:
@@ -239,13 +251,15 @@ class ColumnarSimThread(SimThread):
         split = len(q_base) - n_block
         blk = (q_base[split:], q_count[split:], q_write[split:])
         del q_base[split:], q_count[split:], q_write[split:]
-        cp._pending_lines -= block_lines
+        # The segment may now be empty; the kernel walks it as zero runs.
+        queue.pending_lines -= block_lines
         cp.flush_pending()
         q_base.extend(blk[0])
         q_count.extend(blk[1])
         q_write.extend(blk[2])
-        cp._pending_lines = block_lines
-        cp._llc.pending_path = cp
+        self._q_seg.extend((0, self._slot))
+        queue.pending_lines = block_lines
+        queue.tail = cp
         before = self._cycles_v
         cp.flush_pending()
         self._cycles_v = before

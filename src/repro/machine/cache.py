@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.machine.colengine import ColumnarCorePath
+    from repro.machine.colengine import RunQueue
 
 
 @dataclass
@@ -120,11 +120,11 @@ class CacheLevel:
         #: law can account for every line that reached memory: node
         #: writes == dirty evictions + flush write-backs).
         self.flushed_dirty = 0
-        #: Core path with queued deferred runs targeting this level.
-        #: Always ``None`` for the per-line engine; the columnar engine
-        #: uses it as its shared-LLC serialisation token, and
-        #: ``NumaMachine.sync_engines`` flushes through it.
-        self.pending_path: Optional["ColumnarCorePath"] = None
+        #: The columnar engine's deferred run queue for this LLC, shared
+        #: by every core path on the socket (``None`` for the per-line
+        #: engine and for private levels); ``NumaMachine.sync_engines``
+        #: flushes through it.
+        self.run_queue: Optional["RunQueue"] = None
         # One ordered dict per set: tag -> dirty flag.
         self._sets: List[Dict[int, bool]] = [dict() for _ in range(self.num_sets)]
 

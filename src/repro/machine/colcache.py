@@ -53,7 +53,7 @@ class ColumnarCacheLevel(CacheLevel):
         self.num_sets = num_sets
         self.stats = CacheStats()
         self.flushed_dirty = 0
-        self.pending_path = None
+        self.run_queue = None
         self.tags = np.full((num_sets, assoc), -1, dtype=np.int64)
         self.dirty = np.zeros((num_sets, assoc), dtype=np.uint8)
         self.age = np.zeros((num_sets, assoc), dtype=np.int64)

@@ -179,14 +179,14 @@ class NumaMachine:
 
         Must run before anything observes or remaps machine state:
         counter reads, invariant checks, cache flushes, page-table
-        changes.  The columnar engine parks queued runs on each LLC's
-        ``pending_path`` token; executing them here makes all counters
-        exactly what the per-line engine would have produced.
+        changes.  The columnar engine parks queued runs in each LLC's
+        ``run_queue``; executing them here makes all counters exactly
+        what the per-line engine would have produced.
         """
         for socket in self.sockets:
-            pending = socket.llc.pending_path
-            if pending is not None:
-                pending.flush_pending()
+            queue = socket.llc.run_queue
+            if queue is not None and queue.tail is not None:
+                queue.tail.flush_pending()
 
     def make_core(self, socket_id: int) -> CorePath:
         """Create an access path for a context bound to ``socket_id``."""

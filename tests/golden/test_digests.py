@@ -1,13 +1,14 @@
 """Checked-in result digests: every engine reproduces them bit for bit.
 
-``digests.json`` maps ``benchmark/collector[/placement]`` to the
-SHA-256 of the canonical result payload — ``serve.wire.canonical_result``
-over ``result_to_dict``, the same definition of "same result" that
-``repro serve`` and ``perfbench`` use.  The placement defaults to
-``static``.  Both engines, the per-line oracle and the default columnar
+``digests.json`` maps ``benchmark/collector[/placement][/instances=N]``
+to the SHA-256 of the canonical result payload —
+``serve.wire.canonical_result`` over ``result_to_dict``, the same
+definition of "same result" that ``repro serve`` and ``perfbench`` use.
+The placement defaults to ``static`` and the instance count to 1.  Both engines, the per-line oracle and the default columnar
 engine, must reproduce every digest exactly.  The keys cover a managed
-run per collector family, a native-runtime run (``pr.cpp``), and the
-migrate placement (write listeners and page migration).  A change to
+run per collector family, a native-runtime run (``pr.cpp``), the
+migrate placement (write listeners and page migration), and two
+instances co-running on one socket's shared LLC.  A change to
 any digest is a deliberate re-baseline and is recorded in CHANGES.md
 with its reason.
 """
@@ -29,7 +30,7 @@ GOLDEN = json.loads(
 
 
 def result_digest(benchmark: str, collector: str, engine: str,
-                  placement: str = "static") -> str:
+                  placement: str = "static", instances: int = 1) -> str:
     """SHA-256 of one default-seed emulation run's canonical payload."""
     factory = benchmark_factory(benchmark)
     platform = HybridMemoryPlatform(
@@ -38,7 +39,7 @@ def result_digest(benchmark: str, collector: str, engine: str,
     result = platform.run(
         lambda index: factory(index, dataset="default",
                               scale=DEFAULT_SCALE_CONFIG),
-        collector=collector)
+        collector=collector, instances=instances)
     text = json.dumps(canonical_result(result_to_dict(result)),
                       sort_keys=True)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -47,6 +48,12 @@ def result_digest(benchmark: str, collector: str, engine: str,
 @pytest.mark.parametrize("engine", ["perline", "columnar"])
 @pytest.mark.parametrize("key", sorted(GOLDEN))
 def test_digest_matches_golden(key, engine):
-    benchmark, collector, *placement = key.split("/")
+    benchmark, collector, *rest = key.split("/")
+    options = {"placement": "static", "instances": 1}
+    for part in rest:
+        if part.startswith("instances="):
+            options["instances"] = int(part.split("=", 1)[1])
+        else:
+            options["placement"] = part
     assert result_digest(benchmark, collector, engine,
-                         *placement) == GOLDEN[key]
+                         **options) == GOLDEN[key]

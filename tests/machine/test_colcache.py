@@ -97,6 +97,7 @@ class TestScalarParity:
         rng = random.Random(7)
         victims = np.zeros(2 * 40 + 8, dtype=np.int64)
         out = array("q", [0] * pykernel.OUT_SIZE)
+        slot_out = array("q", [0] * pykernel.SLOT_SIZE)
         for _ in range(200):
             first = rng.randrange(0, 200)
             count = rng.randrange(1, 40)
@@ -107,11 +108,12 @@ class TestScalarParity:
                 if victim_dirty:
                     expected_victims.append(victim)
             scal = array("q", [1, 1, 1, kernel.num_sets, kernel.assoc,
-                               0, 0, 0, kernel.clock, 0, 0, 0, 0, 40])
+                               0, 0, 1, kernel.clock, 0, 0, 0, 0, 40, 1])
             pykernel.run_batch(scal, array("q", [first]),
                                array("q", [count]),
                                array("q", [1 if is_write else 0]),
-                               None, None, None, *kernel.flat, victims, out)
+                               array("q", [0, 0]), [None, None, None],
+                               *kernel.flat, victims, out, slot_out)
             kernel.clock = out[pykernel.OUT_L_CLOCK]
             stats = kernel.stats
             stats.hits += out[pykernel.OUT_L_HITS]

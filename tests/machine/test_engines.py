@@ -4,13 +4,14 @@ The registry half pins resolution: names, the ``REPRO_ENGINE``
 environment variable, precedence, and graceful degradation of the
 optional C kernel.  The equivalence half is satellite coverage for the
 differential fuzzer: the interpreted and compiled batch kernels agree
-on raw kernel state when fed the same run queues, the columnar state
+on raw kernel state when fed the same multi-slot run queues, the columnar state
 matrices stay where the kernels bound them, and a fixed-seed 20k-op
 fuzz run of the columnar engine against the per-line oracle passes
 with zero divergences in tier-1 (not just in the nightly
 ``repro sanitize`` sweeps).
 """
 
+import random
 from array import array
 
 import numpy as np
@@ -91,33 +92,74 @@ class TestRegistry:
             ColumnarCorePath(machine, machine.sockets[0], None,
                              engine.kernel)
 
+    def test_paths_on_one_llc_share_private_geometry(self):
+        from repro.machine.topology import emulation_platform_spec
 
-def _kernel_inputs(seed, n_runs=64, has_private=1):
-    """One randomized batch: scalars, run queues, fresh cache matrices."""
-    rng = np.random.default_rng(seed)
-    p_sets, p_ways = 8, 4
-    l_sets, l_ways = 32, 4
+        machine = emulation_platform_spec().build(engine="columnar")
+        first = machine.make_core(0)
+        engine = resolve_engine("columnar")
+        odd = ColumnarCacheLevel(2 * first.private.size, first.private.assoc)
+        with pytest.raises(ValueError, match="geometry"):
+            ColumnarCorePath(machine, machine.sockets[0], odd, engine.kernel)
+        # Another socket's LLC has its own queue.
+        ColumnarCorePath(machine, machine.sockets[1], odd, engine.kernel)
+        assert machine.make_core(0)._queue is first._queue
+
+
+def _segments(rng, n_runs, n_slots):
+    """Random (first_run, slot) pairs, flat: interleaved slots, slot 0
+    coming back after another slot, and possibly empty segments."""
+    n_segs = int(rng.integers(4, 10))
+    slots = [0, 1, 0] + rng.integers(0, n_slots, size=n_segs - 3).tolist()
+    # Sampled with replacement: equal starts make empty segments.
+    starts = [0] + sorted(rng.integers(1, n_runs, size=n_segs - 1).tolist())
+    flat = []
+    for first_run, slot in zip(starts, slots):
+        flat.extend((first_run, slot))
+    return array("q", flat)
+
+
+def _kernel_batch(rng, geometry, has_private, n_slots, n_runs=64):
+    """One randomized queue: scalars, run columns, segment starts."""
+    p_sets, p_ways, l_sets, l_ways = geometry
     node_shift = 12  # lines 0..8191 span two home nodes
     count = rng.integers(1, 33, size=n_runs).tolist()
-    queues = {
-        "q_base": array("q", rng.integers(0, 8192, size=n_runs).tolist()),
-        "q_count": array("q", count),
-        "q_write": array("q", rng.integers(0, 2, size=n_runs).tolist()),
-    }
+    columns = (
+        array("q", rng.integers(0, 8192, size=n_runs).tolist()),
+        array("q", count),
+        array("q", rng.integers(0, 2, size=n_runs).tolist()),
+        _segments(rng, n_runs, n_slots),
+    )
     scal = array("q", [n_runs, p_sets, p_ways, l_sets, l_ways, 10, 35,
-                       5, 7, has_private, 0, 120, 190, node_shift])
-    state = {
-        "pt": np.full(p_sets * p_ways, -1, dtype=np.int64),
-        "pd": np.zeros(p_sets * p_ways, dtype=np.uint8),
-        "pa": np.zeros(p_sets * p_ways, dtype=np.int64),
-        "lt": np.full(l_sets * l_ways, -1, dtype=np.int64),
-        "ld": np.zeros(l_sets * l_ways, dtype=np.uint8),
-        "la": np.zeros(l_sets * l_ways, dtype=np.int64),
-    }
-    victims = np.zeros(2 * sum(count) + 8, dtype=np.int64)
-    # Stale values: both kernels must overwrite every out slot.
-    out = array("q", [99] * pykernel.OUT_SIZE)
-    return scal, queues, state, victims, out
+                       len(columns[3]) // 2, 7, has_private, 0, 120, 190,
+                       node_shift, n_slots])
+    return scal, columns, 2 * sum(count) + 8
+
+
+class _KernelSide:
+    """One kernel's copy of every input it mutates: the per-slot
+    private matrices, the LLC matrices, victims, out and slot_out."""
+
+    def __init__(self, geometry, n_slots):
+        p_sets, p_ways, l_sets, l_ways = geometry
+        self.private = [(np.full(p_sets * p_ways, -1, dtype=np.int64),
+                         np.zeros(p_sets * p_ways, dtype=np.uint8),
+                         np.zeros(p_sets * p_ways, dtype=np.int64))
+                        for _ in range(n_slots)]
+        self.llc = (np.full(l_sets * l_ways, -1, dtype=np.int64),
+                    np.zeros(l_sets * l_ways, dtype=np.uint8),
+                    np.zeros(l_sets * l_ways, dtype=np.int64))
+        # Stale values: both kernels must overwrite every output entry
+        # except each slot's private clock, which is an input.
+        self.out = array("q", [99] * pykernel.OUT_SIZE)
+        self.slot_out = array("q", [99] * (pykernel.SLOT_SIZE * n_slots))
+        for slot in range(n_slots):
+            self.slot_out[slot * pykernel.SLOT_SIZE
+                          + pykernel.SLOT_P_CLOCK] = 5 + 3 * slot
+        self.victims = np.zeros(0, dtype=np.int64)
+
+    def state(self):
+        return [m for mats in self.private for m in mats] + list(self.llc)
 
 
 def _address(buffer):
@@ -129,39 +171,62 @@ def _address(buffer):
 @pytest.mark.skipif(load_native_kernel() is None,
                     reason="no host C compiler / cached kernel")
 class TestNativeKernelDifferential:
-    """The C kernel is the interpreted kernel, instruction for result."""
+    """The C kernel is the interpreted kernel, instruction for result,
+    on multi-slot queues whose segments switch private caches."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_native_matches_python_kernel(self, seed):
-        self._check(seed, has_private=1)
+        self._check(seed, (8, 4, 32, 4), has_private=1)
 
     @pytest.mark.parametrize("seed", [4, 5])
     def test_native_matches_python_kernel_llc_only(self, seed):
-        self._check(seed, has_private=0)
+        self._check(seed, (8, 4, 32, 4), has_private=0)
+
+    def test_native_matches_python_kernel_16_way_clone(self):
+        self._check(6, (4, 16, 16, 16), has_private=1)
 
     @staticmethod
-    def _check(seed, has_private):
+    def _check(seed, geometry, has_private, n_slots=3):
         native = load_native_kernel()
-        scal, queues, state, victims, out = _kernel_inputs(
-            seed, has_private=has_private)
-        py_state = {k: v.copy() for k, v in state.items()}
-        py_victims = victims.copy()
-        py_out = array("q", out)
-        order = ("q_base", "q_count", "q_write")
-        native(_address(scal), *(_address(queues[k]) for k in order),
-               *(_address(state[k]) for k in ("pt", "pd", "pa",
-                                               "lt", "ld", "la")),
-               _address(victims), _address(out))
-        pykernel.run_batch(scal, *(queues[k] for k in order),
-                           py_state["pt"], py_state["pd"], py_state["pa"],
-                           py_state["lt"], py_state["ld"], py_state["la"],
-                           py_victims, py_out)
-        assert out == py_out
-        assert out[pykernel.OUT_READS_BASE + 1] > 0  # remote runs seen
-        n_victims = out[pykernel.OUT_N_VICTIMS]
-        assert (victims[:n_victims] == py_victims[:n_victims]).all()
-        for key in state:
-            assert (state[key] == py_state[key]).all(), key
+        rng = np.random.default_rng(seed)
+        c_side = _KernelSide(geometry, n_slots)
+        py_side = _KernelSide(geometry, n_slots)
+        if has_private:
+            c_slots = array("q", [_address(m) for mats in c_side.private
+                                  for m in mats])
+            py_slots = [m for mats in py_side.private for m in mats]
+        else:
+            c_slots = array("q", [0] * (3 * n_slots))
+            py_slots = [None] * (3 * n_slots)
+        # Three batches in a row: the later ones start from the cache
+        # state, the clocks and the stale outputs the earlier ones left.
+        for _ in range(3):
+            scal, columns, n_victims_max = _kernel_batch(
+                rng, geometry, has_private, n_slots)
+            for side in (c_side, py_side):
+                side.victims = np.full(n_victims_max, -7, dtype=np.int64)
+            native(_address(scal), *(_address(c) for c in columns),
+                   _address(c_slots), *(_address(m) for m in c_side.llc),
+                   _address(c_side.victims), _address(c_side.out),
+                   _address(c_side.slot_out))
+            pykernel.run_batch(scal, *columns, py_slots, *py_side.llc,
+                               py_side.victims, py_side.out,
+                               py_side.slot_out)
+            assert c_side.out == py_side.out
+            assert c_side.slot_out == py_side.slot_out
+            n_victims = c_side.out[pykernel.OUT_N_VICTIMS]
+            assert (c_side.victims[:n_victims]
+                    == py_side.victims[:n_victims]).all()
+            for c_mat, py_mat in zip(c_side.state(), py_side.state()):
+                assert (c_mat == py_mat).all()
+        assert c_side.out[pykernel.OUT_READS_BASE + 1] > 0  # remote runs
+        size = pykernel.SLOT_SIZE
+        cycles = [c_side.slot_out[slot * size + pykernel.SLOT_CYCLES]
+                  for slot in range(n_slots)]
+        assert cycles[0] > 0 and cycles[1] > 0
+        if has_private:
+            assert c_side.slot_out[pykernel.SLOT_P_HITS] \
+                + c_side.slot_out[pykernel.SLOT_P_MISSES] > 0
 
 
 class TestBoundStateStaysInPlace:
@@ -200,6 +265,90 @@ class TestBoundStateStaysInPlace:
         assert [self._addresses(cache) for cache in caches] == before
         assert [cache.addresses for cache in caches] == before
         assert machine.nodes[0].write_lines > 0
+
+
+class TestThreadSwitchesDoNotFlush:
+    """Threads sharing an LLC share its one run queue: rotating between
+    them opens segments, and only a sync point executes the queue."""
+
+    PAGES = 16
+    DRAM_BASE = 0x100000
+    PCM_BASE = 0x200000
+
+    def _trace(self):
+        """(thread, vaddr, size, is_write): single lines and blocks."""
+        from repro.config import PAGE_SIZE
+
+        rng = random.Random(2024)
+        span = self.PAGES * PAGE_SIZE
+        ops = []
+        for index in range(3000):
+            size = rng.choice((8, 8, 32, 64, 200, 1024, 3 * PAGE_SIZE // 2))
+            base = rng.choice((self.DRAM_BASE, self.PCM_BASE))
+            # Mostly round-robin, sometimes the same thread again.
+            tid = index % 4 if rng.random() < 0.8 else rng.randrange(4)
+            ops.append((tid, base + rng.randrange(0, span - size, 8), size,
+                        rng.random() < 0.4))
+        return ops
+
+    def _drive(self, engine, ops):
+        from repro.config import PAGE_SIZE, ScaleConfig
+        from repro.kernel.vm import Kernel
+        from repro.machine.topology import emulation_platform_spec
+        from repro.probe import PROBES
+
+        # Small caches, so the trace evicts to both memory nodes.
+        machine = emulation_platform_spec(ScaleConfig(scale=256)).build(
+            engine=engine)
+        kernel = Kernel(machine)
+        process = kernel.create_process()
+        kernel.mmap_bind(process, self.DRAM_BASE, self.PAGES * PAGE_SIZE,
+                         node_id=0)
+        kernel.mmap_bind(process, self.PCM_BASE, self.PAGES * PAGE_SIZE,
+                         node_id=1)
+        threads = [process.spawn_thread(socket_id=0) for _ in range(4)]
+        flushes = []
+
+        def count(site, ctx):
+            if site == "machine.engine_flush":
+                flushes.append(ctx["runs"])
+
+        PROBES.subscribe(count)
+        try:
+            for tid, vaddr, size, is_write in ops:
+                threads[tid].access(vaddr, size, is_write)
+            machine.sync_engines()
+        finally:
+            PROBES.unsubscribe(count)
+        state = {
+            "cycles": [thread.cycles for thread in threads],
+            "private": [self._stats(thread.core_path.private)
+                        for thread in threads],
+            "llc": [self._stats(socket.llc) for socket in machine.sockets],
+            "nodes": [(node.read_lines, node.write_lines)
+                      for node in machine.nodes],
+            "qpi": machine.qpi_crossings,
+        }
+        return flushes, state
+
+    @staticmethod
+    def _stats(cache):
+        stats = cache.stats
+        return (stats.hits, stats.misses, stats.evictions,
+                stats.dirty_evictions)
+
+    def test_one_flush_and_oracle_counters(self):
+        ops = self._trace()
+        switches = sum(1 for prev, op in zip(ops, ops[1:])
+                       if prev[0] != op[0])
+        assert switches > 2000
+        flushes, state = self._drive("columnar", ops)
+        oracle_flushes, oracle = self._drive("perline", ops)
+        assert oracle_flushes == []
+        assert len(flushes) == 1
+        assert state == oracle
+        assert all(cycles > 0 for cycles in state["cycles"])
+        assert all(writes > 0 for _, writes in state["nodes"])
 
 
 class TestFixedSeedFuzzCrossCheck:
