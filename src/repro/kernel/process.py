@@ -4,13 +4,18 @@ A :class:`Process` owns a page table and a set of :class:`SimThread`
 contexts.  ``SimThread.access`` is the single hottest function in the
 whole simulator: every mutator and collector byte-touch funnels through
 it, so the default engine's override (:class:`ColumnarSimThread`)
-inlines both the page-table walk and the run enqueue.
+inlines both the page-table walk and the run enqueue.  A touch that
+fits in one cache line (about three in four of a DaCapo mutator's)
+takes a single-line path there: one software-TLB check and one queued
+run, without the page-run loop.  Multi-line blocks and touches of an
+unmapped page take the run loop, which services page faults.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional, Type
 
+from repro.config import PAGE_SHIFT
 from repro.kernel.pagetable import (
     LINE_OFFSET_MASK,
     LINES_PER_PAGE_SHIFT,
@@ -156,13 +161,17 @@ class ColumnarSimThread(SimThread):
     def access(self, vaddr: int, size: int, is_write: bool) -> int:
         """Touch ``size`` bytes at ``vaddr``; cycles land at queue flush.
 
-        One body serves both entry points (``access_block`` is an alias):
-        the run loop degenerates to a single iteration for single-line
-        touches, and merging the paths saves the delegation call the
-        base class makes for multi-line accesses.
+        One body serves both entry points (``access_block`` is an
+        alias), saving the delegation call the base class makes for
+        multi-line accesses.  A touch inside one cache line (most
+        field reads and writes) takes the single-line path: one TLB
+        check, the segment check and the three queue appends, with no
+        run loop and no TLB write-back on a hit.  A touch that
+        straddles a line boundary, and any touch whose page is not
+        mapped yet, runs the general run loop below, which services
+        the fault or rolls the block back.
         """
         table = self._table
-        line_map = self._line_map
         # Inline of ColumnarCorePath.access_line: a thread switch opens
         # a segment once up front, every page run is three plain
         # appends, and the flush threshold is checked once per block
@@ -176,6 +185,28 @@ class ColumnarSimThread(SimThread):
             q_seg.append(len(q_base))
             q_seg.append(self._slot)
             queue.tail = cp
+        if 0 < (vaddr & 63) + size <= 64:
+            vpage = vaddr >> PAGE_SHIFT
+            base: Optional[int]
+            if vpage == self._tlb_vpage and table.epoch == self._tlb_epoch:
+                base = self._tlb_base
+            else:
+                base = self._line_map.get(vpage)
+                if base is not None:
+                    self._tlb_vpage = vpage
+                    self._tlb_base = base
+                    self._tlb_epoch = table.epoch
+            if base is not None:
+                q_base.append(base + ((vaddr >> 6) & LINE_OFFSET_MASK))
+                self._q_count.append(1)
+                self._q_write.append(1 if is_write else 0)
+                pending = queue.pending_lines + 1
+                queue.pending_lines = pending
+                if (len(q_base) >= self._max_runs
+                        or pending >= self._max_lines):
+                    cp.flush_pending()
+                return 0
+        line_map = self._line_map
         q_count = self._q_count
         q_write = self._q_write
         write_flag = 1 if is_write else 0

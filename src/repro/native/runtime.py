@@ -71,20 +71,21 @@ class NativeRuntime:
 
 
 class NativeContext:
-    """malloc/free plus raw reads and writes, with traffic accounting."""
+    """malloc/free plus raw reads and writes, with traffic accounting.
+
+    ``thread`` is a plain attribute that :meth:`use_thread` sets, as in
+    the managed runtime's ``MutatorContext``.
+    """
 
     def __init__(self, runtime: NativeRuntime, seed: int = 0) -> None:
         self.runtime = runtime
         self.rng = random.Random(seed)
-        self.thread_index = 0
         self._threads = runtime.app_threads
+        self.thread: SimThread = self._threads[0]
 
     def use_thread(self, index: int) -> None:
-        self.thread_index = index % len(self._threads)
-
-    @property
-    def thread(self) -> SimThread:
-        return self._threads[self.thread_index]
+        threads = self._threads
+        self.thread = threads[index % len(threads)]
 
     def malloc(self, nbytes: int) -> NativeObj:
         """Allocate; only the allocator header is written (no zeroing)."""

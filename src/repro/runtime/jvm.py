@@ -31,7 +31,13 @@ from repro.kernel.process import SimThread
 from repro.kernel.vm import Kernel
 from repro.probe import PROBES
 from repro.runtime.heap import HybridHeap, OutOfMemoryError
-from repro.runtime.objectmodel import LOS_THRESHOLD, Obj, object_size
+from repro.runtime.objectmodel import (
+    HEADER_BYTES,
+    LOS_THRESHOLD,
+    REF_BYTES,
+    Obj,
+    object_size,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.collectors.base import Collector
@@ -255,21 +261,24 @@ class MutatorContext:
     A context multiplexes the VM's application threads: ``self.thread``
     selects which simulated thread issues the next operation's traffic
     (workloads rotate it to model their four application threads).
+
+    Every field touch costs one ``SimThread.access`` call and nothing
+    else the context can avoid: ``thread`` is a plain attribute that
+    :meth:`use_thread` sets, field addresses are computed inline from
+    the object layout, and random offsets are drawn straight from the
+    RNG's ``_randbelow``, the method ``randrange(n)`` delegates to.
     """
 
     def __init__(self, vm: JavaVM, seed: int = 0) -> None:
         self.vm = vm
         self.rng = random.Random(seed)
-        self.thread_index = 0
         self._threads = vm.app_threads
+        self.thread: SimThread = self._threads[0]
 
     # -- thread selection ------------------------------------------------
     def use_thread(self, index: int) -> None:
-        self.thread_index = index % len(self._threads)
-
-    @property
-    def thread(self) -> SimThread:
-        return self._threads[self.thread_index]
+        threads = self._threads
+        self.thread = threads[index % len(threads)]
 
     # -- allocation -------------------------------------------------------
     def alloc(self, scalar_bytes: int = 16, num_refs: int = 0,
@@ -292,7 +301,9 @@ class MutatorContext:
         if is_large:
             obj = vm.collector.allocate_large(vm, size, num_refs, thread)
         else:
-            obj = self._alloc_nursery(size, num_refs)
+            obj = vm.nursery.allocate(size, num_refs)
+            if obj is None:
+                obj = self._alloc_nursery(size, num_refs)
         if vm.write_profiler is not None:
             obj.context = vm.write_profiler.context_key(scalar_bytes,
                                                         num_refs, is_large)
@@ -310,9 +321,10 @@ class MutatorContext:
         return obj
 
     def _alloc_nursery(self, size: int, num_refs: int) -> Obj:
+        """Slow path once the nursery is full: collect until it fits."""
         vm = self.vm
         nursery = vm.nursery
-        obj = nursery.allocate(size, num_refs)
+        obj = None
         while obj is None:
             vm.minor_collect()
             obj = nursery.allocate(size, num_refs)
@@ -327,7 +339,7 @@ class MutatorContext:
         vm = self.vm
         thread = self.thread
         obj.refs[slot] = value
-        thread.access(obj.ref_slot_addr(slot), 4, True)
+        thread.access(obj.addr + HEADER_BYTES + slot * REF_BYTES, 4, True)
         if vm.monitoring_overhead:
             thread.compute(vm.monitor_barrier_cycles)
         self._monitor_write(obj)
@@ -336,28 +348,43 @@ class MutatorContext:
             vm.remset_record(obj, thread)
 
     def read_ref(self, obj: Obj, slot: int) -> Optional[Obj]:
-        self.thread.access(obj.ref_slot_addr(slot), 4, False)
+        self.thread.access(obj.addr + HEADER_BYTES + slot * REF_BYTES, 4,
+                           False)
         return obj.refs[slot]
 
     def write_scalar(self, obj: Obj, offset: int = 0, nbytes: int = 8) -> None:
         """Write ``nbytes`` of scalar payload at ``offset``."""
         vm = self.vm
-        self.thread.access(obj.scalar_addr(offset), nbytes, True)
+        thread = self.thread
+        thread.access(obj.addr + HEADER_BYTES + len(obj.refs) * REF_BYTES
+                      + offset, nbytes, True)
         if vm.monitoring_overhead:
-            self.thread.compute(vm.monitor_barrier_cycles)
+            thread.compute(vm.monitor_barrier_cycles)
         self._monitor_write(obj)
 
     def read_scalar(self, obj: Obj, offset: int = 0, nbytes: int = 8) -> None:
-        self.thread.access(obj.scalar_addr(offset), nbytes, False)
+        self.thread.access(obj.addr + HEADER_BYTES + len(obj.refs) * REF_BYTES
+                           + offset, nbytes, False)
 
     def write_scalar_random(self, obj: Obj, nbytes: int = 8) -> None:
         """Write at a random payload offset (mutation models use this)."""
-        span = max(1, obj.scalar_bytes - nbytes)
-        self.write_scalar(obj, self.rng.randrange(span), nbytes)
+        vm = self.vm
+        thread = self.thread
+        scalar_start = HEADER_BYTES + len(obj.refs) * REF_BYTES
+        span = obj.size - scalar_start - nbytes
+        thread.access(obj.addr + scalar_start
+                      + self.rng._randbelow(span if span > 1 else 1),
+                      nbytes, True)
+        if vm.monitoring_overhead:
+            thread.compute(vm.monitor_barrier_cycles)
+        self._monitor_write(obj)
 
     def read_scalar_random(self, obj: Obj, nbytes: int = 8) -> None:
-        span = max(1, obj.scalar_bytes - nbytes)
-        self.read_scalar(obj, self.rng.randrange(span), nbytes)
+        scalar_start = HEADER_BYTES + len(obj.refs) * REF_BYTES
+        span = obj.size - scalar_start - nbytes
+        self.thread.access(obj.addr + scalar_start
+                           + self.rng._randbelow(span if span > 1 else 1),
+                           nbytes, False)
 
     def _monitor_write(self, obj: Obj) -> None:
         # Kingsguard write monitoring: observer residents and PCM large

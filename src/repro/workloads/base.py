@@ -169,57 +169,81 @@ class SyntheticApp(BenchmarkApp):
     # One iteration of the mutator loop
     # ------------------------------------------------------------------
     def iteration(self, ctx: MutatorContext) -> Generator[None, None, None]:
+        # The per-op loop runs ~10^5 times per run, so everything it
+        # reads is hoisted into locals, and draws go straight through
+        # Random._randbelow: randrange(n) and choice(seq) delegate to
+        # it, so the RNG stream is the same draw for draw.
         profile = self.profile
         rng = self.rng
+        draw = rng.random
+        below = rng._randbelow
         tables = self._tables
         num_tables = len(tables)
         hot_tables = max(1, int(num_tables * profile.hot_table_fraction))
         hot_start = 0
         phase_step = max(1, hot_tables // 2)
+        app_threads = self.app_threads
+        compute_per_op = profile.compute_per_op
+        phase_ops = profile.phase_ops
+        quantum = profile.quantum
+        alloc_per_op = profile.alloc_per_op
+        small_sizes = profile.small_sizes
+        n_sizes = len(small_sizes)
+        small_refs = profile.small_refs
+        n_refs = len(small_refs)
+        survival_rate = profile.survival_rate
+        large_alloc_per_op = profile.large_alloc_per_op
+        writes_per_op = profile.writes_per_op
+        hot_write_fraction = profile.hot_write_fraction
+        reads_per_op = profile.reads_per_op
+        use_thread = ctx.use_thread
+        compute = ctx.compute
+        alloc = ctx.alloc
+        write_scalar_random = ctx.write_scalar_random
+        read_scalar_random = ctx.read_scalar_random
+        pick = self._pick
         alloc_acc = 0.0
         write_acc = 0.0
         read_acc = 0.0
         large_acc = 0.0
         for op in range(profile.ops):
-            ctx.use_thread(op % self.app_threads)
-            ctx.compute(profile.compute_per_op)
-            if op % profile.phase_ops == 0 and op:
+            use_thread(op % app_threads)
+            compute(compute_per_op)
+            if op % phase_ops == 0 and op:
                 # Phase change: the hot working set drifts.
                 hot_start = (hot_start + phase_step) % num_tables
 
             # --- allocation ---
-            alloc_acc += profile.alloc_per_op
+            alloc_acc += alloc_per_op
             while alloc_acc >= 1.0:
                 alloc_acc -= 1.0
-                obj = ctx.alloc(
-                    scalar_bytes=rng.choice(profile.small_sizes),
-                    num_refs=rng.choice(profile.small_refs))
-                if rng.random() < profile.survival_rate:
+                obj = alloc(scalar_bytes=small_sizes[below(n_sizes)],
+                            num_refs=small_refs[below(n_refs)])
+                if draw() < survival_rate:
                     self._link(ctx, rng, obj)
                 # otherwise the object dies in the nursery
 
             # --- large allocation ---
-            large_acc += profile.large_alloc_per_op
+            large_acc += large_alloc_per_op
             while large_acc >= 1.0:
                 large_acc -= 1.0
                 self._alloc_large(ctx, rng)
 
             # --- working-set mutation ---
-            write_acc += profile.writes_per_op
+            write_acc += writes_per_op
             while write_acc >= 1.0:
                 write_acc -= 1.0
-                target = self._pick(ctx, rng, hot_start, hot_tables,
-                                    profile.hot_write_fraction)
-                ctx.write_scalar_random(target)
+                write_scalar_random(pick(ctx, rng, hot_start, hot_tables,
+                                         hot_write_fraction))
 
             # --- working-set reads ---
-            read_acc += profile.reads_per_op
+            read_acc += reads_per_op
             while read_acc >= 1.0:
                 read_acc -= 1.0
-                target = self._pick(ctx, rng, hot_start, hot_tables, 0.5)
-                ctx.read_scalar_random(target)
+                read_scalar_random(pick(ctx, rng, hot_start, hot_tables,
+                                        0.5))
 
-            if (op + 1) % profile.quantum == 0:
+            if (op + 1) % quantum == 0:
                 yield
 
     # ------------------------------------------------------------------
@@ -268,15 +292,16 @@ class SyntheticApp(BenchmarkApp):
         working set as the program changes phase.
         """
         tables = self._tables
-        if rng.random() < hot_fraction:
-            table = tables[(hot_start + rng.randrange(hot_tables))
+        draw = rng.random
+        # _randbelow(n) is the draw randrange(n) makes (see iteration).
+        if draw() < hot_fraction:
+            table = tables[(hot_start + rng._randbelow(hot_tables))
                            % len(tables)]
         else:
-            table = tables[rng.randrange(len(tables))]
+            table = tables[rng._randbelow(len(tables))]
         # Log-uniform slot choice: a few objects per table take most of
         # the writes, persistently.  This is the skew that makes "past
         # writes predict future writes" — the premise KG-W relies on.
-        slots = len(table.refs)
-        slot = int(slots ** rng.random()) - 1
-        ref = ctx.read_ref(table, max(0, slot))
+        slot = int(len(table.refs) ** draw()) - 1
+        ref = ctx.read_ref(table, slot if slot > 0 else 0)
         return ref if ref is not None else table

@@ -367,3 +367,144 @@ class TestFixedSeedFuzzCrossCheck:
         assert result.divergence is None
         assert result.violations == []
         assert result.ok
+
+
+class TestSingleLinePath:
+    """``ColumnarSimThread.access`` queues a touch inside one cache line
+    without the page-run loop.  Each scenario runs under both engines
+    and must leave identical per-thread cycles, private and LLC stats,
+    node counters and QPI crossings."""
+
+    DRAM_BASE = 0x100000
+    PCM_BASE = 0x200000
+    HOLE = 0x300000
+    PAGES = 4
+
+    def _drive(self, engine, scenario, placement="static"):
+        from repro.config import PAGE_SIZE
+        from repro.kernel.vm import Kernel
+        from repro.machine.topology import emulation_platform_spec
+
+        machine = emulation_platform_spec().build(engine=engine)
+        kernel = Kernel(machine)
+        process = kernel.create_process(placement=placement)
+        kernel.mmap_bind(process, self.DRAM_BASE, self.PAGES * PAGE_SIZE,
+                         node_id=0)
+        kernel.mmap_bind(process, self.PCM_BASE, self.PAGES * PAGE_SIZE,
+                         node_id=1)
+        threads = [process.spawn_thread(socket_id=0) for _ in range(2)]
+        scenario(kernel, process, threads)
+        machine.flush_all([thread.core_path for thread in threads])
+        return {
+            "cycles": [thread.cycles for thread in threads],
+            "private": [TestThreadSwitchesDoNotFlush._stats(
+                thread.core_path.private) for thread in threads],
+            "llc": [TestThreadSwitchesDoNotFlush._stats(socket.llc)
+                    for socket in machine.sockets],
+            "nodes": [(node.read_lines, node.write_lines)
+                      for node in machine.nodes],
+            "qpi": machine.qpi_crossings,
+            "faults": kernel.page_faults,
+            "mapped": kernel.pages_mapped,
+        }
+
+    def _check(self, scenario, placement="static"):
+        state = self._drive("columnar", scenario, placement)
+        assert state == self._drive("perline", scenario, placement)
+        return state
+
+    @staticmethod
+    def _queued(thread):
+        """The (base, count, write) runs queued on the thread's LLC."""
+        queue = thread.core_path._queue
+        return list(zip(queue.q_base, queue.q_count, queue.q_write))
+
+    def test_every_offset_and_size(self):
+        sizes = (1, 4, 8, 16)
+
+        def scenario(kernel, process, threads):
+            thread = threads[0]
+            columnar = kernel.machine.engine.columnar
+            for base in (self.DRAM_BASE, self.PCM_BASE):
+                for offset in range(64):
+                    for size in sizes:
+                        vaddr = base + 64 * size + offset
+                        before = self._queued(thread) if columnar else None
+                        thread.access(vaddr, size, (offset + size) % 3 == 0)
+                        if not columnar:
+                            continue
+                        lines = 1 if offset + size <= 64 else 2
+                        # One run per touch; a straddling touch queues
+                        # a two-line run, which only the run loop makes.
+                        runs = self._queued(thread)
+                        assert runs[:-1] == before
+                        assert runs[-1][1] == lines
+
+        state = self._check(scenario)
+        assert all(writes > 0 for _, writes in state["nodes"])
+
+    def test_thread_switch_between_single_line_touches(self):
+        def scenario(kernel, process, threads):
+            for index in range(24):
+                thread = threads[index % 2]
+                thread.access(self.DRAM_BASE + 8 * index, 8, index % 3 == 0)
+                thread.access(self.PCM_BASE + 72 * index, 4, True)
+            if kernel.machine.engine.columnar:
+                # Each switch opened a segment; nothing has flushed.
+                queue = threads[0].core_path._queue
+                assert len(queue.q_seg) // 2 == 24
+                assert len(queue.q_base) == 48
+
+        state = self._check(scenario)
+        assert all(cycles > 0 for cycles in state["cycles"])
+
+    def test_lazy_first_touch_fault_is_serviced(self):
+        def scenario(kernel, process, threads):
+            thread = threads[0]
+            thread.access(self.DRAM_BASE + 40, 8, True)  # faults in
+            thread.access(self.DRAM_BASE + 48, 8, False)  # TLB hit
+            thread.access(self.PCM_BASE + 100, 4, False)  # faults in
+            assert kernel.page_faults == 2
+
+        state = self._check(scenario, placement="first-touch")
+        assert state["faults"] == state["mapped"] == 2
+
+    def test_unmapped_hole_rolls_back(self):
+        from repro.kernel.pagetable import PageFault
+
+        def scenario(kernel, process, threads):
+            thread, other = threads
+            thread.access(self.DRAM_BASE, 8, True)
+            other.access(self.DRAM_BASE + 64, 8, True)
+            thread.access(self.DRAM_BASE + 128, 8, False)
+            columnar = kernel.machine.engine.columnar
+            queued = self._queued(thread) if columnar else None
+            with pytest.raises(PageFault) as raised:
+                thread.access(self.HOLE + 8, 8, True)
+            assert raised.value.vaddr == self.HOLE  # the line's start
+            if columnar:
+                # Nothing of the faulting touch stays queued; what
+                # was queued before it is untouched.
+                assert len(queued) == 3
+                assert self._queued(thread) == queued
+            thread.access(self.DRAM_BASE + 192, 8, True)
+
+        state = self._check(scenario)
+        assert state["faults"] == 1
+
+    def test_epoch_bump_invalidates_the_tlb(self):
+        from repro.config import PAGE_SHIFT
+
+        vpage = self.DRAM_BASE >> PAGE_SHIFT
+
+        def scenario(kernel, process, threads):
+            thread = threads[0]
+            thread.access(self.DRAM_BASE + 8, 8, True)  # primes the TLB
+            epoch = process.page_table.epoch
+            kernel.migrate_page(process, vpage, 1)
+            assert process.page_table.epoch > epoch
+            # Same vpage: a stale TLB entry would write the old frame.
+            thread.access(self.DRAM_BASE + 16, 8, True)
+            thread.access(self.DRAM_BASE + 200, 8, True)
+
+        self._check(scenario)
